@@ -74,33 +74,6 @@ class TrafficModel:
             total += s.bytes * miss_fraction(s.working_set, cache_bytes)
         return total
 
-    def dram_bytes_many(self, cache_bytes: Sequence[float]) -> list[float]:
-        """``dram_bytes`` for many capacities in one vectorized sweep.
-
-        Cache-capacity sweeps (thread sweeps change the per-thread L3
-        share at every point) evaluate each stream once per capacity;
-        with NumPy the whole (streams x capacities) grid is a few array
-        operations.  Falls back to the scalar loop without NumPy.
-        """
-        try:
-            import numpy as np
-        except ImportError:
-            return [self.dram_bytes(c) for c in cache_bytes]
-        caps = np.asarray(cache_bytes, dtype=np.float64)
-        if not self.streams:
-            return [self.compulsory] * len(caps)
-        b = np.array([s.bytes for s in self.streams])
-        ws = np.array([s.working_set for s in self.streams])
-        safe_ws = np.where(ws > 0, ws, 1.0)
-        # miss(ws, cache) per (stream, capacity); rows with ws<=0 never miss.
-        miss = 1.0 - caps[None, :] / safe_ws[:, None]
-        miss = np.where(
-            (ws[:, None] <= 0) | (ws[:, None] <= caps[None, :]),
-            0.0,
-            np.where(caps[None, :] <= 0, 1.0, miss),
-        )
-        return (self.compulsory + b @ miss).tolist()
-
     def worst_case_bytes(self) -> float:
         """Traffic with no cache at all."""
         return self.compulsory + sum(s.bytes for s in self.streams)

@@ -12,7 +12,6 @@ Usage::
     python -m repro.bench --trace out.jsonl fig9   # flat JSONL trace
     python -m repro.bench --metrics M.json fig9    # metrics snapshot
     python -m repro.bench --trace out.json --attribution fig10
-    python -m repro.bench --engine fast fig9       # vectorized fast path
     python -m repro.bench --profile fig9           # cProfile top-25
     python -m repro.bench --profile=40 fig9        # cProfile top-40
 """
@@ -110,7 +109,6 @@ def main(argv: list[str] | None = None) -> int:
     journal_path: str | None = None
     trace_path: str | None = None
     metrics_path: str | None = None
-    engine: str | None = None
     profile_top = 0
     attribution = False
     resume = False
@@ -148,13 +146,6 @@ def main(argv: list[str] | None = None) -> int:
             metrics_path = args[i]
         elif a.startswith("--metrics="):
             metrics_path = a.split("=", 1)[1]
-        elif a == "--engine":
-            i += 1
-            if i >= len(args):
-                raise SystemExit("--engine needs a mode (exact|fast|auto)")
-            engine = args[i]
-        elif a.startswith("--engine="):
-            engine = a.split("=", 1)[1]
         elif a == "--profile":
             profile_top = 25
         elif a.startswith("--profile="):
@@ -183,15 +174,6 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs import start_tracing
 
         tracer = start_tracing()
-    if engine is not None:
-        from ..machine import ENGINE_MODES, set_engine_mode
-
-        if engine not in ENGINE_MODES:
-            raise SystemExit(
-                f"unknown engine {engine!r}; choose from "
-                + " ".join(ENGINE_MODES)
-            )
-        set_engine_mode(engine)
     profiler = None
     if profile_top:
         import cProfile

@@ -1,13 +1,13 @@
 """Interconnect and cluster topology model.
 
-Grown from the seed ``repro.machine.cluster.InterconnectSpec``: the
-two-parameter latency/bandwidth model is extended with per-peer link
+Grown from the seed's interconnect spec: the two-parameter
+latency/bandwidth model is extended with per-peer link
 bandwidth and a link-contention term, so a rank exchanging ghost zones
 with many neighbors concurrently pays more than one streaming a single
 message.  The defaults keep the seed's closed-form behaviour bitwise
 (``transfer_seconds(bytes, messages)`` with one peer and no contention
-is exactly ``bytes / bw + messages * latency``), which is what the
-compat shim in :mod:`repro.machine.cluster` and its tests rely on.
+is exactly ``bytes / bw + messages * latency``), which is what
+:func:`repro.cluster.scaling.step_cost` and its tests rely on.
 
 Named instances cover the paper's era and two common alternatives:
 

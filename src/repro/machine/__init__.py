@@ -5,27 +5,13 @@ generators, and the workload execution simulators (closed-form and
 event-driven) that regenerate the paper's scaling figures.
 """
 
-from .cache import (
-    CacheHierarchy,
-    CacheStats,
-    SetAssociativeCache,
-    StackDistanceProfile,
-)
-# Re-exported from their new home (repro.cluster); the old
-# repro.machine.cluster module remains as a deprecation shim.
-from ..cluster.scaling import StepCost, step_cost
-from ..cluster.topology import GEMINI, ClusterSpec, InterconnectSpec
+from .cache import CacheHierarchy, CacheStats, SetAssociativeCache
 from .counters import BandwidthProfile, BandwidthSample, profile_workload
 from .roofline import arithmetic_intensity, min_time_bound, roofline_gflops
 from .simulator import (
-    ENGINE_MODES,
     SimResult,
     achieved_bandwidth,
-    engine_mode,
     estimate_workload,
-    get_engine_mode,
-    resolve_engine_mode,
-    set_engine_mode,
     simulate_workload,
 )
 from .spec import (
@@ -42,19 +28,9 @@ from .workload import Phase, WorkItem, Workload, build_workload
 __all__ = [
     "BandwidthProfile",
     "BandwidthSample",
-    "ENGINE_MODES",
-    "engine_mode",
-    "get_engine_mode",
-    "resolve_engine_mode",
-    "set_engine_mode",
     "CacheHierarchy",
     "CacheStats",
-    "ClusterSpec",
-    "GEMINI",
-    "InterconnectSpec",
-    "StepCost",
     "profile_workload",
-    "step_cost",
     "IVY_BRIDGE",
     "IVY_DESKTOP",
     "MAGNY_COURS",
@@ -64,7 +40,6 @@ __all__ = [
     "SANDY_BRIDGE",
     "SetAssociativeCache",
     "SimResult",
-    "StackDistanceProfile",
     "WorkItem",
     "Workload",
     "achieved_bandwidth",

@@ -21,26 +21,15 @@ distinct cycle of phases is costed once and replayed ``repeat`` times,
 and the flops/bytes bookkeeping goes through one shared accumulation
 loop so the two engines agree *bitwise* (asserted by
 :mod:`repro.verify`).
-
-Engine modes (:func:`set_engine_mode` / ``REPRO_ENGINE_MODE``):
-
-* ``exact`` (default) — the pure-Python reference engines above.
-* ``fast`` — the NumPy-vectorized batched replay in
-  :mod:`repro.machine.fastpath`; bitwise-deterministic, validated
-  against ``exact`` by the ``fast_path`` verify family (falls back to
-  ``exact`` when NumPy is unavailable).
-* ``auto`` — ``fast`` when NumPy is available, else ``exact``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..obs import trace as _trace
 from ..resilience import faults as _faults
@@ -54,11 +43,6 @@ __all__ = [
     "simulate_workload",
     "achieved_bandwidth",
     "clear_phase_cost_cache",
-    "ENGINE_MODES",
-    "engine_mode",
-    "get_engine_mode",
-    "resolve_engine_mode",
-    "set_engine_mode",
 ]
 
 
@@ -97,51 +81,6 @@ class SimResult:
         if self.time_s > 0:
             return other.time_s / self.time_s
         return 1.0 if other.time_s == 0 else math.inf
-
-
-# ------------------------------------------------------------------ engine mode
-ENGINE_MODES = ("exact", "fast", "auto")
-
-_ENGINE_MODE = os.environ.get("REPRO_ENGINE_MODE", "exact")
-if _ENGINE_MODE not in ENGINE_MODES:
-    _ENGINE_MODE = "exact"
-
-
-def set_engine_mode(mode: str) -> None:
-    """Select the engine implementation (``exact`` | ``fast`` | ``auto``)."""
-    global _ENGINE_MODE
-    if mode not in ENGINE_MODES:
-        raise ValueError(f"unknown engine mode {mode!r}; use {ENGINE_MODES}")
-    _ENGINE_MODE = mode
-
-
-def get_engine_mode() -> str:
-    """The configured engine mode (before auto-resolution)."""
-    return _ENGINE_MODE
-
-
-def resolve_engine_mode() -> str:
-    """The mode that will actually run: ``exact`` or ``fast``.
-
-    ``auto`` resolves to ``fast`` when NumPy is importable; ``fast``
-    itself degrades to ``exact`` rather than failing when it is not.
-    """
-    if _ENGINE_MODE == "exact":
-        return "exact"
-    from . import fastpath
-
-    return "fast" if fastpath.HAVE_NUMPY else "exact"
-
-
-@contextmanager
-def engine_mode(mode: str) -> Iterator[None]:
-    """Temporarily pin the engine mode (tests, verify checks)."""
-    prev = _ENGINE_MODE
-    set_engine_mode(mode)
-    try:
-        yield
-    finally:
-        set_engine_mode(prev)
 
 
 # ------------------------------------------------------------------ item/phase costs
@@ -432,12 +371,6 @@ def estimate_workload(
     fault_label = _fault_site(workload, machine, threads)
     if fault_label is not None:
         _faults.perturb("estimate", None, fault_label)
-    if resolve_engine_mode() == "fast":
-        from . import fastpath
-
-        result = fastpath.estimate_workload_fast(workload, machine, threads)
-        return _maybe_corrupt(result, "estimate", fault_label)
-
     local: dict[tuple, float] = {}
 
     def phase_time(phase: Phase) -> float:
@@ -478,10 +411,7 @@ def simulate_workload(
     Phases are barriers, so each phase's fluid time is a pure function
     of its structure — computed once per distinct phase (memoized
     process-wide, keyed on the order-sensitive structural key) and
-    replayed across the workload's repeated cycles.  In ``fast``/
-    ``auto`` engine mode, phases of identical items take the closed
-    form directly (for them the round-based fluid evolution *is* the
-    closed form); heterogeneous phases always run the event loop.
+    replayed across the workload's repeated cycles.
     """
     if threads > machine.max_threads:
         raise ValueError(
@@ -490,22 +420,18 @@ def simulate_workload(
     fault_label = _fault_site(workload, machine, threads)
     if fault_label is not None:
         _faults.perturb("simulate", None, fault_label)
-    fast = resolve_engine_mode() == "fast"
     local: dict[tuple, float] = {}
 
     def phase_time(phase: Phase) -> float:
         skey = phase.structure_key()
         t = local.get(skey)
         if t is None:
-            if fast and len(_merged_groups(phase)) == 1:
-                t = _estimate_phase_time(phase, machine, threads)
-            else:
-                t = _cached_phase_time(
-                    _SIM_PHASE_CACHE,
-                    "sim_phase_cache",
-                    (machine, threads, skey),
-                    lambda: _simulate_phase_time(phase, machine, threads),
-                )
+            t = _cached_phase_time(
+                _SIM_PHASE_CACHE,
+                "sim_phase_cache",
+                (machine, threads, skey),
+                lambda: _simulate_phase_time(phase, machine, threads),
+            )
             local[skey] = t
         else:
             perf().inc("sim_phase_cache.hits")

@@ -6,10 +6,9 @@ from different users should cost exactly one simulation.  This module
 supplies the two ingredients the service needs to make that true:
 
 * :func:`canonical_job_key` — one canonical content hash per job,
-  covering problem geometry, machine, threads, variant, requested
-  engine, *and* the process-wide engine mode (``exact`` and ``fast``
-  agree only to ~1e-16, so they must never share a cache slot).  The
-  key is built on :func:`repro.resilience.journal.canonical_fragment`:
+  covering problem geometry, machine, threads, variant and requested
+  engine.  The key is built on
+  :func:`repro.resilience.journal.canonical_fragment`:
   dict-insertion-order invariant, repr-stable float formatting
   (``-0.0`` == ``0.0``, ``1e22`` == ``1e+22``), NumPy scalars
   normalized — two semantically identical configs can never hash to
@@ -47,7 +46,6 @@ from collections import OrderedDict
 from functools import lru_cache
 
 from ..bench.runner import GridResult
-from ..machine.simulator import resolve_engine_mode
 from ..obs.metrics import default_registry
 from ..resilience.journal import (
     _bump_path_epoch,
@@ -145,8 +143,7 @@ def canonical_job_key(kind_or_spec, payload=_UNSET) -> str:
     jobs on the whole frozen :class:`~repro.cluster.scaling
     .ClusterPoint`; verify jobs on the config dataclass; any other kind
     (``tune`` and future kinds) on the canonical fragment of its
-    JSON-shaped payload.  Every key also folds in the resolved
-    process-wide engine mode (``exact`` | ``fast``).
+    JSON-shaped payload.
 
     Raises ``TypeError`` for payloads that are not content (objects
     with no canonical encoding) — callers treat that as "not
@@ -173,7 +170,7 @@ def canonical_job_key(kind_or_spec, payload=_UNSET) -> str:
         raise TypeError(
             f"canonical_job_key: {kind!r} payload is not content: {exc}"
         ) from None
-    text = f"v{_MEMO_VERSION}|{kind}|mode={resolve_engine_mode()}|{frag}"
+    text = f"v{_MEMO_VERSION}|{kind}|{frag}"
     return f"{kind}:{hashlib.sha256(text.encode()).hexdigest()[:32]}"
 
 

@@ -47,7 +47,6 @@ CACHE_FAMILIES = (
     ("sim_phase_cache", "sim phase cache"),
     ("copier_cache", "copier plan cache"),
     ("halo_cache", "halo plan cache"),
-    ("fastpath_cache", "fast-path table cache"),
 )
 
 _COUNT = "count."

@@ -3,7 +3,7 @@
 A seeded generator draws randomized configurations — domain shape
 (including anisotropic), box size, ghost width, per-axis periodicity,
 component count, schedule variants, simulated machine, thread count,
-and execution-substrate toggles — and drives eight check families:
+and execution-substrate toggles — and drives seven check families:
 
 * **bitwise** — every variant equals the reference kernel bitwise,
   under arena/pool/tracing toggle combinations;
@@ -13,9 +13,6 @@ and execution-substrate toggles — and drives eight check families:
   traffic monotonicity in cache size, parallelism-profile bounds;
 * **metamorphic** — domain translation, component permutation, and
   periodic-shift invariance;
-* **fast_path** — the vectorized fast-path engine tracks the exact
-  engines within stated tolerances, deterministically, and the
-  stack-distance cache model matches the LRU simulator;
 * **cluster** — decomposition conservation, the ``nodes=1``
   reduction, scaling-efficiency and latency monotonicity;
 * **memo** — canonical-key stability and sensitivity, bitwise hit
@@ -31,7 +28,6 @@ from .checks import (
     check_bitwise,
     check_cluster,
     check_engines,
-    check_fast_path,
     check_invariants,
     check_memo,
     check_metamorphic,
@@ -66,7 +62,6 @@ __all__ = [
     "check_bitwise",
     "check_cluster",
     "check_engines",
-    "check_fast_path",
     "check_invariants",
     "check_memo",
     "check_metamorphic",

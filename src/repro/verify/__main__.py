@@ -36,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--family", choices=FAMILIES, action="append", dest="families",
-        help="restrict to one check family (repeatable; default: all eight)",
+        help="restrict to one check family (repeatable; default: all seven)",
     )
     parser.add_argument(
         "--repro", metavar="FILE",

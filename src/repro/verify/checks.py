@@ -1,4 +1,4 @@
-"""The eight differential check families.
+"""The seven differential check families.
 
 Every check takes a :class:`~repro.verify.config.VerifyConfig` and
 returns a list of failure messages — empty means the config passed.
@@ -29,13 +29,6 @@ Families
     domain origin, permuting non-velocity components, and shifting the
     initial data along a periodic axis all commute with the kernel,
     bitwise.
-``fast_path``
-    The vectorized fast-path engine agrees with the exact engine within
-    stated tolerances (times, flops, bytes, per-phase times), is
-    bitwise-deterministic under the substrate toggles, and the analytic
-    stack-distance cache model matches the fully-associative LRU
-    simulator exactly (misses *and* writebacks) with set-associative
-    conflict misses bounded by tolerance.
 ``memo``
     The content-addressed serving cache (:mod:`repro.serve.memo`) is
     sound on config-shaped problems: canonical job keys are stable
@@ -65,8 +58,8 @@ Families
     The distributed-memory scaling model (:mod:`repro.cluster`) obeys
     its structural invariants on config-shaped geometries: every rank
     decomposition policy conserves boxes and cells exactly; a
-    one-node cluster step reduces to the single-node engine (bitwise
-    in exact mode, within tolerance in fast mode) with zero exchange;
+    one-node cluster step reduces to the single-node engine bitwise,
+    with zero exchange;
     strong-scaling efficiency over a power-of-two node chain stays
     <= 1 and monotone non-increasing; and at constant work per node
     the exchange fraction is monotone in interconnect latency.
@@ -91,21 +84,8 @@ from ..box.leveldata import LevelData
 from ..box.problem_domain import ProblemDomain
 from ..exemplar.reference import reference_kernel, reference_on_level
 from ..exemplar.state import random_initial_data
-from ..machine.cache import SetAssociativeCache, StackDistanceProfile
-from ..machine.simulator import (
-    engine_mode,
-    estimate_workload,
-    resolve_engine_mode,
-    simulate_workload,
-)
+from ..machine.simulator import estimate_workload, simulate_workload
 from ..machine.spec import machine_by_name
-from ..machine.trace import (
-    ArrayLayout,
-    replay,
-    scratch_write_read_trace,
-    stencil_sweep_trace,
-    stream_trace,
-)
 from ..machine.workload import build_workload
 from ..obs import trace as _trace
 from ..parallel.pool import run_schedule_parallel
@@ -121,7 +101,6 @@ __all__ = [
     "check_engines",
     "check_invariants",
     "check_metamorphic",
-    "check_fast_path",
     "check_cluster",
     "check_memo",
     "check_overload",
@@ -135,17 +114,6 @@ UNIFORM_TIME_RTOL = 1e-9
 #: the estimate is a max of lower bounds, so sim >= est (up to float
 #: noise) and list scheduling keeps sim within a small factor.
 HETEROGENEOUS_TIME_FACTOR = 3.0
-
-#: Fast-vs-exact engine tolerance.  The two compute the same closed
-#: form; only NumPy's reduction order separates them, so agreement is
-#: ~1e-15 relative in practice — 1e-9 leaves nine digits of headroom
-#: while still catching any modeling divergence.
-FAST_PATH_RTOL = 1e-9
-
-#: Set-associative conflict-miss allowance for the stack-distance model
-#: (fraction of line-granularity accesses), at capacities large enough
-#: that the cache has a non-degenerate number of sets.
-FAST_PATH_CONFLICT_TOL = 0.15
 
 #: Realized scratch tags whose declared budget lives under another name.
 _TAG_ALIASES = {"flux_cache": "tile_flux"}
@@ -226,17 +194,7 @@ def check_bitwise(config: VerifyConfig) -> list[str]:
 
 # ------------------------------------------------------------------ family 2
 def check_engines(config: VerifyConfig) -> list[str]:
-    """estimate_workload and simulate_workload agree on every variant.
-
-    Pinned to the exact engines: the bitwise bookkeeping contract is
-    between the two reference implementations; the fast path has its own
-    family with tolerance-based comparisons.
-    """
-    with engine_mode("exact"):
-        return _check_engines_exact(config)
-
-
-def _check_engines_exact(config: VerifyConfig) -> list[str]:
+    """estimate_workload and simulate_workload agree on every variant."""
     failures: list[str] = []
     machine = machine_by_name(config.machine)
     threads = min(config.threads, machine.max_threads)
@@ -533,160 +491,6 @@ def _metamorphic_periodic_shift(config: VerifyConfig) -> list[str]:
 
 
 # ------------------------------------------------------------------ family 5
-def _rel_diff(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-30)
-
-
-def check_fast_path(config: VerifyConfig) -> list[str]:
-    """The vectorized fast path agrees with the exact reference engines."""
-    failures: list[str] = []
-    failures += _fast_path_engines(config)
-    failures += _fast_path_stack_distance(config)
-    return failures
-
-
-def _fast_path_engines(config: VerifyConfig) -> list[str]:
-    from ..machine import fastpath
-
-    failures: list[str] = []
-    machine = machine_by_name(config.machine)
-    threads = min(config.threads, machine.max_threads)
-    with engine_mode("fast"):
-        if resolve_engine_mode() != "fast":
-            # No NumPy: the fast mode must degrade to exact, which makes
-            # the remaining comparisons vacuous.
-            return (
-                []
-                if not fastpath.HAVE_NUMPY
-                else ["fast_path: mode resolution broken (numpy present)"]
-            )
-    for variant in _applicable_variants(config):
-        wl = build_workload(
-            variant,
-            config.box_size,
-            domain_cells=config.domain_cells,
-            ncomp=config.ncomp,
-            dim=config.dim,
-        )
-        tag = f"fast_path: {variant.short_name} @{machine.name}x{threads}"
-        with engine_mode("exact"):
-            exact = estimate_workload(wl, machine, threads)
-            sim_exact = simulate_workload(wl, machine, threads)
-        with engine_mode("fast"):
-            fast = estimate_workload(wl, machine, threads)
-            sim_fast = simulate_workload(wl, machine, threads)
-            # Bitwise self-determinism, under the config's toggles: the
-            # fast engine must not observe the arena, tracing, or pool
-            # state in any way.
-            with ExitStack() as stack:
-                _toggles(stack, config)
-                again = estimate_workload(wl, machine, threads)
-        if (
-            again.time_s != fast.time_s
-            or again.flops != fast.flops
-            or again.dram_bytes != fast.dram_bytes
-            or again.phase_times != fast.phase_times
-        ):
-            failures.append(
-                f"{tag}: fast path not bitwise deterministic under "
-                f"toggles (arena={config.arena}, tracing={config.tracing})"
-            )
-        if len(fast.phase_times) != len(exact.phase_times):
-            failures.append(
-                f"{tag}: phase counts differ (fast {len(fast.phase_times)} "
-                f"vs exact {len(exact.phase_times)})"
-            )
-        for attr in ("time_s", "flops", "dram_bytes"):
-            a, b = getattr(exact, attr), getattr(fast, attr)
-            if _rel_diff(a, b) > FAST_PATH_RTOL:
-                failures.append(
-                    f"{tag}: {attr} diverges (exact {a!r} vs fast {b!r})"
-                )
-        worst = max(
-            (
-                _rel_diff(a, b)
-                for a, b in zip(exact.phase_times, fast.phase_times)
-            ),
-            default=0.0,
-        )
-        if worst > FAST_PATH_RTOL:
-            failures.append(
-                f"{tag}: per-phase times diverge (worst rel {worst:.3e})"
-            )
-        if _rel_diff(sim_exact.time_s, sim_fast.time_s) > UNIFORM_TIME_RTOL:
-            # Fast-mode simulation may take the closed form for uniform
-            # phases, which check_engines already holds to this rtol.
-            failures.append(
-                f"{tag}: fast-mode simulation diverges "
-                f"(exact {sim_exact.time_s!r} vs fast {sim_fast.time_s!r})"
-            )
-    return failures
-
-
-def _fast_path_stack_distance(config: VerifyConfig) -> list[str]:
-    """Stack-distance model vs LRU simulator on config-shaped traces."""
-    failures: list[str] = []
-    line = 64
-    n = config.box_size
-    shape = tuple(min(16, n + 2) for _ in range(config.dim))
-    arr = ArrayLayout(0, shape + (config.ncomp,))
-    scratch = ArrayLayout(10**8, shape)
-    # (trace, in 8-way comparison): the axis-0 stencil in "mixed" is a
-    # large-stride sweep whose conflict misses legitimately dwarf the
-    # fully-associative model — it participates only in the exact
-    # full-LRU checks.
-    traces = {
-        "stream": (list(stream_trace(arr)), True),
-        "stencil": (
-            list(stencil_sweep_trace(arr, min(2, config.dim - 1))),
-            True,
-        ),
-        "scratch": (list(scratch_write_read_trace(scratch)), True),
-        "mixed": (
-            list(stream_trace(arr, write=True))
-            + list(stencil_sweep_trace(arr, 0))
-            + list(stream_trace(arr)),
-            False,
-        ),
-    }
-    caps = [1024 << k for k in range(0, 9, 2)]
-    for name, (tr, compare_assoc) in traces.items():
-        prof = StackDistanceProfile.from_trace(tr, line)
-        for cap in caps:
-            full = SetAssociativeCache(cap, line, ways=0)
-            replay(iter(tr), full)
-            full.flush()
-            if prof.misses(cap) != full.stats.misses:
-                failures.append(
-                    f"fast_path: stack-distance misses {prof.misses(cap)} != "
-                    f"LRU simulator {full.stats.misses} ({name}, cap {cap})"
-                )
-            if prof.writebacks(cap) != full.stats.writebacks:
-                failures.append(
-                    f"fast_path: stack-distance writebacks "
-                    f"{prof.writebacks(cap)} != LRU simulator "
-                    f"{full.stats.writebacks} ({name}, cap {cap})"
-                )
-            if compare_assoc and cap >= 8192:
-                assoc = SetAssociativeCache(cap, line, ways=8)
-                replay(iter(tr), assoc)
-                assoc.flush()
-                drift = abs(prof.misses(cap) - assoc.stats.misses) / max(
-                    prof.total_accesses, 1
-                )
-                if drift > FAST_PATH_CONFLICT_TOL:
-                    failures.append(
-                        f"fast_path: conflict-miss drift {drift:.3f} beyond "
-                        f"{FAST_PATH_CONFLICT_TOL} ({name}, cap {cap})"
-                    )
-    return failures
-
-
-# ------------------------------------------------------------------ family 6
-#: Fast-mode tolerance for the nodes=1 reduction (exact mode is bitwise).
-CLUSTER_FAST_RTOL = 1e-9
-
-
 def check_cluster(config: VerifyConfig) -> list[str]:
     """Structural invariants of the distributed scaling model."""
     failures: list[str] = []
@@ -741,9 +545,9 @@ def _cluster_conservation(config: VerifyConfig) -> list[str]:
 def _cluster_single_node(config: VerifyConfig) -> list[str]:
     """A one-node cluster is the single-node engine plus zero exchange.
 
-    Exact mode must agree bitwise (the per-rank workload is — by the
-    box-count-only property of the workload builder — the *same*
-    workload object contents); fast mode within ``CLUSTER_FAST_RTOL``.
+    The compute time must agree bitwise: by the box-count-only property
+    of the workload builder, the per-rank workload has the *same*
+    contents as the single-node one.
     """
     from ..cluster.scaling import cluster_step
     from ..cluster.topology import GEMINI, ClusterSpec
@@ -760,38 +564,35 @@ def _cluster_single_node(config: VerifyConfig) -> list[str]:
             ncomp=config.ncomp,
             dim=config.dim,
         )
-        for mode, rtol in (("exact", 0.0), ("fast", CLUSTER_FAST_RTOL)):
-            with engine_mode(mode):
-                step = cluster_step(
-                    cluster, variant, config.box_size, config.domain_cells,
-                    ncomp=config.ncomp, ghost=config.ghost, threads=threads,
-                    periodic=config.periodic,
-                )
-                direct = estimate_workload(wl, machine, threads)
-            tag = f"cluster: nodes=1 {variant.short_name} [{mode}]"
-            delta = abs(step.cost.compute_s - direct.time_s)
-            if delta > rtol * max(abs(direct.time_s), 1e-30):
-                failures.append(
-                    f"{tag}: compute {step.cost.compute_s!r} != single-node "
-                    f"engine {direct.time_s!r}"
-                )
-            if step.cost.exchange_s != 0.0 or step.cost.ghost_bytes_per_node:
-                failures.append(
-                    f"{tag}: one node has nonzero exchange "
-                    f"({step.cost.exchange_s!r} s, "
-                    f"{step.cost.ghost_bytes_per_node!r} B)"
-                )
-            if step.cost.imbalance_s != 0.0:
-                failures.append(
-                    f"{tag}: one node has imbalance {step.cost.imbalance_s!r}"
-                )
-            if abs(step.step_s - step.cost.total_s) > 1e-15 * max(
-                step.step_s, 1e-30
-            ):
-                failures.append(
-                    f"{tag}: step_s {step.step_s!r} != attributed total "
-                    f"{step.cost.total_s!r}"
-                )
+        step = cluster_step(
+            cluster, variant, config.box_size, config.domain_cells,
+            ncomp=config.ncomp, ghost=config.ghost, threads=threads,
+            periodic=config.periodic,
+        )
+        direct = estimate_workload(wl, machine, threads)
+        tag = f"cluster: nodes=1 {variant.short_name}"
+        if step.cost.compute_s != direct.time_s:
+            failures.append(
+                f"{tag}: compute {step.cost.compute_s!r} != single-node "
+                f"engine {direct.time_s!r}"
+            )
+        if step.cost.exchange_s != 0.0 or step.cost.ghost_bytes_per_node:
+            failures.append(
+                f"{tag}: one node has nonzero exchange "
+                f"({step.cost.exchange_s!r} s, "
+                f"{step.cost.ghost_bytes_per_node!r} B)"
+            )
+        if step.cost.imbalance_s != 0.0:
+            failures.append(
+                f"{tag}: one node has imbalance {step.cost.imbalance_s!r}"
+            )
+        if abs(step.step_s - step.cost.total_s) > 1e-15 * max(
+            step.step_s, 1e-30
+        ):
+            failures.append(
+                f"{tag}: step_s {step.step_s!r} != attributed total "
+                f"{step.cost.total_s!r}"
+            )
     return failures
 
 
@@ -892,7 +693,7 @@ def _cluster_latency_monotone(config: VerifyConfig) -> list[str]:
     return failures
 
 
-# ------------------------------------------------------------------ family 7
+# ------------------------------------------------------------------ family 6
 def check_memo(config: VerifyConfig) -> list[str]:
     """The serving cache + coalescing layer is sound on this config."""
     failures: list[str] = []
@@ -1074,7 +875,7 @@ def json_dumps_sorted(d: dict) -> str:
     return json.dumps(d, sort_keys=True)
 
 
-# ------------------------------------------------------------------ family 8
+# ------------------------------------------------------------------ family 7
 def check_overload(config: VerifyConfig) -> list[str]:
     """The adaptive overload-control loop is sound on this config."""
     failures: list[str] = []
@@ -1329,7 +1130,6 @@ _FAMILY_CHECKS = {
     "engines": check_engines,
     "invariants": check_invariants,
     "metamorphic": check_metamorphic,
-    "fast_path": check_fast_path,
     "cluster": check_cluster,
     "memo": check_memo,
     "overload": check_overload,

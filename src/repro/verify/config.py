@@ -37,10 +37,10 @@ __all__ = [
     "variant_registry",
 ]
 
-#: The eight check families (see :mod:`repro.verify.checks`).
+#: The seven check families (see :mod:`repro.verify.checks`).
 FAMILIES = (
-    "bitwise", "engines", "invariants", "metamorphic", "fast_path", "cluster",
-    "memo", "overload",
+    "bitwise", "engines", "invariants", "metamorphic", "cluster", "memo",
+    "overload",
 )
 
 #: Box edges the generator draws from — small enough that a single case

@@ -73,6 +73,22 @@ class TestBasics:
         assert misses == 16
         assert c.access_range(0, 1024) == 0
 
+    def test_access_range_counts_match_per_line_loop(self):
+        # The inlined access_range is semantically a per-line access loop.
+        a = SetAssociativeCache(4096, 64, ways=8)
+        b = SetAssociativeCache(4096, 64, ways=8)
+        spans = [(0, 1024, False), (100, 700, True), (8192, 64, False), (0, 1024, False)]
+        for start, nbytes, write in spans:
+            a.access_range(start, nbytes, write)
+            addr = (start // 64) * 64
+            while addr < start + nbytes:
+                b.access(addr, write)
+                addr += 64
+        assert a.stats.accesses == b.stats.accesses
+        assert a.stats.misses == b.stats.misses
+        assert a.stats.writebacks == b.stats.writebacks
+        assert a.access_range(0, 0) == 0
+
 
 class TestHierarchy:
     def test_l2_filters_l3(self):

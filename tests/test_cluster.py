@@ -4,7 +4,7 @@ import pytest
 
 from repro.box import Box, ProblemDomain, decompose_domain
 from repro.machine import MAGNY_COURS, SANDY_BRIDGE
-from repro.machine.cluster import (
+from repro.cluster import (
     GEMINI,
     ClusterSpec,
     InterconnectSpec,

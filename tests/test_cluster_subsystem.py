@@ -1,11 +1,8 @@
 """Tests of the ``repro.cluster`` subsystem: topology, rank
 decomposition, copier-derived halo analysis, node-level task graphs,
-scaling sweeps, the served ``cluster`` job kind, and the
-``repro.machine.cluster`` compat shim."""
+scaling sweeps, and the served ``cluster`` job kind."""
 
-import importlib
 import random
-import warnings
 
 import pytest
 
@@ -33,7 +30,6 @@ from repro.machine import (
     MAGNY_COURS,
     SANDY_BRIDGE,
     build_workload,
-    engine_mode,
     estimate_workload,
 )
 from repro.schedules import Variant
@@ -154,11 +150,10 @@ class TestNodeGraph:
     def test_single_node_reduces_to_engine_bitwise(self):
         domain = (32, 32, 32)
         wl = build_workload(SERIES, 16, domain)
-        with engine_mode("exact"):
-            direct = estimate_workload(wl, SANDY_BRIDGE, 4)
-            step = cluster_step(
-                ClusterSpec(SANDY_BRIDGE, GEMINI, 1), SERIES, 16, domain, threads=4
-            )
+        direct = estimate_workload(wl, SANDY_BRIDGE, 4)
+        step = cluster_step(
+            ClusterSpec(SANDY_BRIDGE, GEMINI, 1), SERIES, 16, domain, threads=4
+        )
         assert step.cost.compute_s == direct.time_s
         assert step.cost.exchange_s == 0.0
         assert step.cost.ghost_bytes_per_node == 0.0
@@ -286,23 +281,6 @@ class TestVerifyFamily:
         for _ in range(3):
             cfg = random_config(rng, family="cluster")
             assert run_check(cfg) == []
-
-
-class TestCompatShim:
-    def test_shim_warns_and_reexports(self):
-        import repro.machine.cluster as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(shim)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), "reloading repro.machine.cluster must warn"
-        from repro.cluster import scaling, topology
-
-        assert shim.step_cost is scaling.step_cost
-        assert shim.InterconnectSpec is topology.InterconnectSpec
-        assert shim.GEMINI is topology.GEMINI
 
 
 class TestChaosWithClusterJobs:

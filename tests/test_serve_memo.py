@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.runner import GridPoint, run_grid
-from repro.machine import engine_mode
 from repro.machine.simulator import SimResult
 from repro.machine.spec import IVY_DESKTOP
 from repro.resilience.faults import FaultPlan, FaultSpec, inject_faults
@@ -227,14 +226,6 @@ class TestCanonicalJobKey:
         assert k.startswith("estimate:")
         assert canonical_job_key("estimate", point(ncomp=6)) != k
         assert canonical_job_key("simulate", p) != k
-
-    def test_engine_mode_is_part_of_the_key(self):
-        p = point()
-        with engine_mode("exact"):
-            exact = canonical_job_key("estimate", p)
-        with engine_mode("fast"):
-            fast = canonical_job_key("estimate", p)
-        assert exact != fast
 
     def test_grid_key_is_order_sensitive(self):
         pts = [point(threads=1), point(threads=2)]

@@ -12,7 +12,10 @@ from repro.machine import (
     min_time_bound,
     simulate_workload,
 )
+from repro.machine.simulator import clear_phase_cost_cache
+from repro.obs import trace as _trace
 from repro.schedules import Variant
+from repro.util.arena import scratch_arena
 
 SMALL_DOMAIN = (32, 32, 32)
 
@@ -72,6 +75,28 @@ class TestEngineAgreement:
         assert est.time_s == pytest.approx(sim.time_s, rel=0.05)
         assert est.dram_bytes == pytest.approx(sim.dram_bytes, rel=1e-6)
         assert est.flops == pytest.approx(sim.flops, rel=1e-9)
+
+
+class TestDeterminism:
+    def test_bitwise_determinism_under_toggles(self):
+        # Neither engine observes the scratch arena or tracing.  The
+        # phase caches are dropped before every run so each toggle
+        # recomputes rather than replaying a memoized phase time.
+        wl = build_workload(Variant("series", "P<Box"), 16, (64, 64, 64))
+        for run in (estimate_workload, simulate_workload):
+            clear_phase_cost_cache()
+            base = run(wl, IVY_BRIDGE, 8)
+            clear_phase_cost_cache()
+            with scratch_arena():
+                arena_run = run(wl, IVY_BRIDGE, 8)
+            clear_phase_cost_cache()
+            with _trace.tracing():
+                traced_run = run(wl, IVY_BRIDGE, 8)
+            for other in (arena_run, traced_run):
+                assert other.time_s == base.time_s
+                assert other.flops == base.flops
+                assert other.dram_bytes == base.dram_bytes
+                assert other.phase_times == base.phase_times
 
 
 class TestPaperShape:

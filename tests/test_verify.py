@@ -17,7 +17,6 @@ from repro.verify import (
     VerifyConfig,
     check_bitwise,
     check_engines,
-    check_fast_path,
     check_invariants,
     check_metamorphic,
     load_repro,
@@ -137,27 +136,6 @@ class TestCheckFamilies:
         # but translation/permutation still must hold.
         cfg = small_config(family="metamorphic", periodic=(False, True), ncomp=5)
         assert check_metamorphic(cfg) == []
-
-    def test_fast_path_passes_small(self):
-        cfg = small_config(
-            family="fast_path",
-            variants=("shift_fuse-PltBox-cli", "series-PgeBox-clo"),
-        )
-        assert check_fast_path(cfg) == []
-
-    def test_fast_path_passes_under_toggles(self):
-        cfg = small_config(
-            family="fast_path",
-            variants=("blocked_wavefront-PltBox-clo-t4",),
-            arena=True,
-            tracing=True,
-        )
-        assert check_fast_path(cfg) == []
-
-    def test_fast_path_in_families(self):
-        assert "fast_path" in FAMILIES
-        cfg = small_config(family="fast_path")
-        assert run_check(cfg) == []
 
     def test_dispatch_unknown_family(self):
         cfg = small_config()

@@ -7,6 +7,14 @@ from repro.machine import SANDY_BRIDGE, build_workload, estimate_workload
 from repro.machine.workload import Phase, WorkItem
 from repro.schedules import Variant
 
+VARIANTS = [
+    Variant("series", "P>=Box"),
+    Variant("series", "P<Box"),
+    Variant("shift_fuse", "P<Box", "CLI"),
+    Variant("blocked_wavefront", "P<Box", "CLO", tile_size=8),
+    Variant("overlapped", "P>=Box", "CLO", tile_size=8, intra_tile="basic"),
+]
+
 
 class TestCycleSharing:
     def test_boxes_share_phase_objects(self):
@@ -62,3 +70,24 @@ class TestPhaseAccounting:
     def test_flops_positive_every_phase(self):
         wl = build_workload(Variant("shift_fuse", "P<Box", "CLI"), 16, (32, 32, 32))
         assert all(p.total_flops() > 0 for p in wl.phases)
+
+
+class TestCompressedReplay:
+    def test_phase_runs_compression_matches_phases(self):
+        for v in VARIANTS:
+            wl = build_workload(v, 16, (64, 64, 64))
+            expanded = []
+            for cycle, repeat in wl.phase_runs():
+                expanded.extend(list(cycle) * repeat)
+            assert expanded == wl.phases
+
+    def test_estimate_scales_with_distinct_phases_not_boxes(self):
+        # 4096 boxes replay one cached per-box cycle: phase_times has
+        # one entry per expanded phase but only one distinct value.
+        wl = build_workload(Variant("series", "P<Box"), 16, (256, 256, 256))
+        r = estimate_workload(wl, SANDY_BRIDGE, 4)
+        assert len(r.phase_times) == len(wl.phases) == 4096
+        assert len(set(r.phase_times)) == 1
+        assert r.time_s == pytest.approx(
+            r.phase_times[0] * 4096, rel=1e-9
+        )
