@@ -1,6 +1,33 @@
-"""Checkpoint journal for experiment grids.
+"""Append-only JSONL logs, and the grid checkpoint journal over them.
 
-``run_grid`` appends one JSONL record per *completed* grid point:
+:class:`AppendLog` is the one storage primitive behind every durable
+record stream in the repo: the grid checkpoint journal below, the
+shard/service write-ahead log (:mod:`repro.serve.shards`) and the memo
+log (:mod:`repro.serve.memo`).  It is the only code that opens,
+appends to, fsyncs or repairs a log file; each store is a *record
+schema* over it — a header record, an fsync constant, and a fold from
+the record stream to the store's state.  The contract:
+
+* a log begins with its schema's header record; opening with
+  ``resume=False`` truncates the file, ``resume=True`` keeps it;
+* on resume a *torn tail* — the final record of an interrupted append
+  (no newline, or a final line that no longer parses) — is truncated
+  away (``recovered_bytes``), so the next append starts at a clean
+  line boundary; corrupt *interior* lines are skipped and counted
+  (``skipped_records``);
+* :meth:`AppendLog.append` writes one sorted-keys JSON line and
+  flushes it, then fsyncs it when the schema asks for that, all under
+  a process-global per-path lock — instances on one path never
+  interleave partial lines, and identical records always serialize
+  to identical bytes;
+* :func:`read_log` returns a log's intact records without touching
+  the file.
+
+Records that parse but are structurally corrupt are skipped and
+counted by each schema's fold, never fatal.
+
+The grid checkpoint schema (fsync off): ``run_grid`` appends one
+record per *completed* grid point:
 
 .. code-block:: text
 
@@ -12,39 +39,9 @@ content key, so one journal file can hold many grids (a figure suite
 issues many ``run_grid`` calls) and a record is only ever replayed into
 the exact grid slot it came from.  Floats round-trip through JSON via
 ``repr`` — shortest-roundtrip — so a replayed :class:`SimResult` is
-bitwise identical to the computed one.
-
-Failures are *not* journaled: a resumed sweep retries them.
-
-Opening a journal with ``resume=False`` truncates it (a fresh sweep);
-``resume=True`` loads every valid record and replays matches, which is
-what ``python -m repro.bench --journal PATH --resume`` does.  Corrupt
-lines — a truncated tail (the crash that motivated the resume), a
-record missing its index, or a result payload missing SimResult
-fields — are skipped, never fatal: a skipped point is simply
-recomputed.
-
-Concurrent writers: one :class:`GridJournal` instance serializes its
-own appends under an instance lock, and *all* instances targeting the
-same path additionally share a process-global per-path lock — the
-serve layer and a journaled ``run_grid`` can checkpoint into one file
-from different threads without interleaving partial JSONL lines.  The
-write handle is always opened in append mode (``resume=False``
-truncates explicitly first), so even two handles never overwrite each
-other's records mid-file.
-
-Crash safety: both journals recover from a *torn tail* — the final
-record of a file interrupted mid-write (no newline, or a final line
-that no longer parses) is truncated away on load, so the next append
-starts at a clean line boundary instead of corrupting the record after
-the tear.  :class:`WALJournal` generalizes the storage discipline into
-a write-ahead log for arbitrary records: ``commit`` is durable (flush
-+ fsync) before it returns, and ``rotate`` atomically replaces the log
-with a compacted snapshot (write aside, fsync the file, rename over,
-fsync the directory) — a crash at any instant leaves either the old
-complete log or the new complete log, never a mix.  The serve layer's
-shard supervisor leases jobs through a ``WALJournal``
-(``docs/resilience.md``, "The write-ahead log").
+bitwise identical to the computed one.  Failures are *not* journaled:
+a resumed sweep (``python -m repro.bench --journal PATH --resume``)
+retries them, and a skipped record is simply recomputed.
 """
 
 from __future__ import annotations
@@ -66,48 +63,23 @@ __all__ = [
     "grid_hash",
     "sim_result_to_dict",
     "sim_result_from_dict",
+    "AppendLog",
+    "read_log",
     "GridJournal",
-    "WALJournal",
 ]
 
-_VERSION = 1
-_WAL_VERSION = 1
+_GRID_HEADER = {"kind": "header", "version": 1}
 
-#: Process-global per-path write locks: every GridJournal instance on
-#: the same (real) path shares one lock, so two instances appending to
-#: one file cannot interleave partial lines.
+#: Process-global per-path write locks: every AppendLog on the same
+#: (real) path shares one lock, so two instances appending to one file
+#: cannot interleave partial lines.
 _PATH_LOCKS: dict[str, threading.Lock] = {}
-#: Process-global per-path rotation epochs: ``rotate()`` bumps the
-#: epoch after ``os.replace`` swaps the inode under the live path, and
-#: every instance revalidates its append handle against it before the
-#: next write — a handle opened before someone else's rotation would
-#: otherwise keep appending to the unlinked old inode, silently losing
-#: every record it writes.
-_PATH_EPOCHS: dict[str, int] = {}
 _PATH_LOCKS_GUARD = threading.Lock()
-
-
-def _path_key(path: str) -> str:
-    return os.path.realpath(path)
 
 
 def _path_lock(path: str) -> threading.Lock:
     with _PATH_LOCKS_GUARD:
-        return _PATH_LOCKS.setdefault(_path_key(path), threading.Lock())
-
-
-def _path_epoch(path: str) -> int:
-    """The path's current rotation epoch (0 = never rotated)."""
-    with _PATH_LOCKS_GUARD:
-        return _PATH_EPOCHS.get(_path_key(path), 0)
-
-
-def _bump_path_epoch(path: str) -> int:
-    """Advance the rotation epoch; call while holding the path lock."""
-    with _PATH_LOCKS_GUARD:
-        key = _path_key(path)
-        _PATH_EPOCHS[key] = _PATH_EPOCHS.get(key, 0) + 1
-        return _PATH_EPOCHS[key]
+        return _PATH_LOCKS.setdefault(os.path.realpath(path), threading.Lock())
 
 
 # ------------------------------------------------------------- canonical keys
@@ -197,28 +169,15 @@ def canonical_fragment(obj) -> str:
     )
 
 
-def _fsync_dir(path: str) -> None:
-    """fsync the directory entry so a completed rename survives a crash."""
-    dirname = os.path.dirname(os.path.abspath(path)) or "."
-    try:
-        fd = os.open(dirname, os.O_RDONLY)
-    except OSError:  # pragma: no cover - directory not openable (exotic fs)
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync unsupported on directories
-        pass
-    finally:
-        os.close(fd)
-
-
-def _recover_jsonl(path: str) -> tuple[list[dict], int, int]:
-    """Scan a JSONL file, distinguishing a torn tail from interior rot.
+# ------------------------------------------------------------ append-only log
+def _scan_log(path: str, header: dict) -> tuple[list[dict], int, int]:
+    """Scan a JSONL log, distinguishing a torn tail from interior rot.
 
     Returns ``(records, keep_bytes, skipped)``: every parseable record
-    in file order; the byte offset the file should be truncated to so
-    that it ends at a clean record boundary; and how many
-    complete-but-corrupt *interior* lines were skipped.
+    in file order (records of ``header``'s kind excluded); the byte
+    offset the file should be truncated to so that it ends at a clean
+    record boundary; and how many complete-but-corrupt *interior*
+    lines were skipped.
 
     A *torn tail* — the signature of a crash mid-append: a final line
     with no terminating newline, or a terminated final line that no
@@ -251,7 +210,8 @@ def _recover_jsonl(path: str) -> tuple[list[dict], int, int]:
             except (ValueError, UnicodeDecodeError):
                 rec = None
             if isinstance(rec, dict):
-                records.append(rec)
+                if rec.get("kind") != header["kind"]:
+                    records.append(rec)
             elif end == len(data):
                 keep = pos  # corrupt final record, newline intact: torn
             else:
@@ -260,12 +220,83 @@ def _recover_jsonl(path: str) -> tuple[list[dict], int, int]:
     return records, keep, skipped
 
 
-def _truncate_to(path: str, keep: int) -> None:
-    """Durably truncate ``path`` to ``keep`` bytes (torn-tail removal)."""
-    with open(path, "r+b") as fh:
-        fh.truncate(keep)
-        fh.flush()
-        os.fsync(fh.fileno())
+def read_log(path: str, header: dict) -> list[dict]:
+    """Every intact record of the log at ``path`` in file order, its
+    schema's ``header`` records excluded.
+
+    Side-effect free, so it is safe on a log a live writer owns: a torn
+    tail is excluded but left on disk, and a missing path raises
+    ``FileNotFoundError`` instead of creating a file.
+    """
+    return _scan_log(str(path), header)[0]
+
+
+class AppendLog:
+    """One append-only JSONL log file (the contract is in the module
+    docstring).
+
+    ``header`` is the schema's header record, written first into an
+    empty log; ``fsync`` is the schema's durability constant — with it,
+    a record is on disk when :meth:`append` returns.  :attr:`records`
+    holds the intact records found on open (header excluded; empty
+    unless ``resume``) for the owning schema to fold.
+    """
+
+    def __init__(
+        self, path: str, header: dict, *, fsync: bool, resume: bool = False,
+    ):
+        self.path = str(path)
+        self._fsync = bool(fsync)
+        self.records: list[dict] = []
+        #: Bytes of torn tail truncated away on open (0 = clean file).
+        self.recovered_bytes = 0
+        #: Complete-but-corrupt interior lines skipped on open.
+        self.skipped_records = 0
+        self._lock = _path_lock(self.path)
+        with self._lock:
+            if resume and os.path.exists(self.path):
+                self.records, keep, self.skipped_records = _scan_log(
+                    self.path, header
+                )
+                size = os.path.getsize(self.path)
+                if keep < size:
+                    with open(self.path, "r+b") as fh:
+                        fh.truncate(keep)
+                        fh.flush()
+                        os.fsync(fh.fileno())
+                    self.recovered_bytes = size - keep
+            else:
+                # Truncate explicitly; the write handle below is append-
+                # only, so concurrent instances place whole lines at EOF.
+                open(self.path, "w", encoding="utf-8").close()
+            self._fh = open(self.path, "a", encoding="utf-8")
+            if os.path.getsize(self.path) == 0:
+                self._write(json.dumps(header, sort_keys=True) + "\n")
+
+    def _write(self, line: str) -> None:
+        """Write, flush (and fsync) one line; call with the path lock held."""
+        self._fh.write(line)
+        self._fh.flush()
+        if self._fsync:
+            os.fsync(self._fh.fileno())
+
+    def append(self, record: dict) -> None:
+        """Append one record as a sorted-keys JSON line."""
+        line = json.dumps(record, sort_keys=True) + "\n"
+        with self._lock:
+            self._write(line)
+
+    def close(self) -> None:
+        with self._lock:
+            if not self._fh.closed:
+                self._fh.close()
+
+    def __enter__(self) -> "AppendLog":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 #: Fields a journaled result payload must carry to rebuild a SimResult.
 _RESULT_FIELDS = (
@@ -299,6 +330,23 @@ def _valid_result_payload(r) -> bool:
     if not isinstance(r["phase_times"], list):
         return False
     return all(isinstance(t, (int, float)) for t in r["phase_times"])
+
+
+def _grid_entry(rec: dict):
+    """``((grid hash, index), (key, payload))`` of one checkpoint record,
+    or ``None`` when the record is structurally corrupt."""
+    ghash, key, payload = rec.get("grid"), rec.get("key", ""), rec.get("r")
+    if not (
+        isinstance(ghash, str)
+        and isinstance(key, str)
+        and _valid_result_payload(payload)
+    ):
+        return None
+    try:
+        index = int(rec["i"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None  # no usable grid slot
+    return (ghash, index), (key, payload)
 
 
 def point_key(p) -> str:
@@ -358,86 +406,34 @@ def sim_result_from_dict(d: dict) -> SimResult:
 
 
 class GridJournal:
-    """Append-only JSONL checkpoint store for grid results."""
+    """The grid checkpoint schema over :class:`AppendLog` (fsync off).
+
+    Folds ``{"grid", "i", "key", "r"}`` records into one entry per
+    ``(grid hash, index)`` slot — a later record for a slot wins — and
+    skips (counting in :attr:`skipped_records`) any record without a
+    usable slot, key or result payload.
+    """
 
     def __init__(self, path: str, resume: bool = False):
-        self.path = str(path)
+        self._log = AppendLog(path, _GRID_HEADER, resume=resume, fsync=False)
+        self.path = self._log.path
         self.hits = 0
         self.written = 0
         #: Bytes of torn tail dropped by the last resume (0 = clean file).
-        self.recovered_bytes = 0
+        self.recovered_bytes = self._log.recovered_bytes
+        #: Corrupt lines and structurally corrupt records skipped on resume.
+        self.skipped_records = self._log.skipped_records
         self._lock = threading.Lock()
-        self._path_lock = _path_lock(self.path)
         self._entries: dict[tuple[str, int], tuple[str, dict]] = {}
-        with self._path_lock:
-            if not resume:
-                # Truncate explicitly; the write handle below is append-
-                # only so concurrent instances place whole lines at EOF.
-                open(self.path, "w", encoding="utf-8").close()
-            elif os.path.exists(self.path):
-                self._load()
-            self._fh = open(self.path, "a", encoding="utf-8")
-            self._epoch = _path_epoch(self.path)
-            needs_header = not self._entries and (
-                not resume or os.path.getsize(self.path) == 0
-            )
-        if needs_header:
-            self._write({"kind": "header", "version": _VERSION})
-
-    def _load(self) -> None:
-        records, keep, _skipped = _recover_jsonl(self.path)
-        size = os.path.getsize(self.path)
-        if keep < size:
-            # Torn final record from an interrupted append: truncate it
-            # away so the next append starts at a clean line boundary.
-            # Replaying a strict prefix is always safe — the dropped
-            # point is simply recomputed.
-            _truncate_to(self.path, keep)
-            self.recovered_bytes = size - keep
-        for rec in records:
-            if "grid" not in rec:
-                continue
-            payload = rec.get("r")
-            if payload is None or not _valid_result_payload(payload):
-                continue
-            try:
-                index = int(rec["i"])
-            except (KeyError, TypeError, ValueError):
-                continue  # corrupt record: no usable grid slot
-            self._entries[(rec["grid"], index)] = (
-                rec.get("key", ""),
-                payload,
-            )
-
-    def _revalidate_handle(self) -> None:
-        """Reopen the append handle if another instance rotated the path.
-
-        Call while holding the path lock.  After a rotation by *any*
-        instance, every other instance's handle points at the unlinked
-        old inode — appending there loses records silently.  The
-        rotation epoch makes staleness visible: on mismatch, reopen at
-        the live path (append mode — whole lines land at EOF).
-        """
-        current = _path_epoch(self.path)
-        if current != self._epoch:
-            self._fh.close()
-            self._fh = open(self.path, "a", encoding="utf-8")
-            self._epoch = current
-
-    def _write(self, rec: dict) -> None:
-        line = json.dumps(rec) + "\n"
-        with self._path_lock:
-            self._revalidate_handle()
-            self._fh.write(line)
-            self._fh.flush()
+        for rec in self._log.records:
+            entry = _grid_entry(rec)
+            if entry is None:
+                self.skipped_records += 1
+            else:
+                self._entries[entry[0]] = entry[1]
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def epoch(self) -> int:
-        """Rotation epoch this instance's handle is valid for."""
-        return self._epoch
 
     def lookup(self, ghash: str, index: int, key: str) -> SimResult | None:
         """Replay a journaled result for this exact grid slot, if any."""
@@ -449,72 +445,15 @@ class GridJournal:
             return sim_result_from_dict(entry[1])
 
     def record(self, ghash: str, index: int, key: str, result: SimResult) -> None:
-        """Checkpoint one completed point (immediately durable)."""
+        """Checkpoint one completed point (flushed before this returns)."""
         d = sim_result_to_dict(result)
         with self._lock:
             self._entries[(ghash, index)] = (key, d)
-            self._write({"grid": ghash, "i": index, "key": key, "r": d})
+            self._log.append({"grid": ghash, "i": index, "key": key, "r": d})
             self.written += 1
 
-    def rotate(self) -> None:
-        """Compact the journal to its live entries, atomically.
-
-        The snapshot is written beside the journal and fsync'd *before*
-        it is renamed over the live file, then the directory entry is
-        fsync'd — a crash at any instant leaves either the old complete
-        journal or the new complete journal on disk, never a mix and
-        never an empty file.
-
-        Safe against concurrent instances on the same path: the whole
-        rotation — disk re-scan, snapshot write, ``os.replace``, epoch
-        bump, handle reopen — happens under the process-global per-path
-        lock, so a concurrent ``record``/``lookup``/``_load`` can never
-        observe the window between the replace and the reopen.  The
-        snapshot is the *union* of what is on disk and this instance's
-        entries (another instance may have appended records this one
-        never loaded — compacting from memory alone would drop them),
-        and the epoch bump tells every other instance to reopen its
-        now-stale append handle before its next write.
-        """
-        with self._lock, self._path_lock:
-            merged: dict[tuple[str, int], tuple[str, dict]] = {}
-            if os.path.exists(self.path):
-                disk_records, _, _ = _recover_jsonl(self.path)
-                for rec in disk_records:
-                    if "grid" not in rec:
-                        continue
-                    payload = rec.get("r")
-                    if payload is None or not _valid_result_payload(payload):
-                        continue
-                    try:
-                        index = int(rec["i"])
-                    except (KeyError, TypeError, ValueError):
-                        continue
-                    merged[(rec["grid"], index)] = (
-                        rec.get("key", ""), payload
-                    )
-            merged.update(self._entries)
-            tmp = f"{self.path}.rotate"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"kind": "header", "version": _VERSION}))
-                fh.write("\n")
-                for (ghash, index), (key, payload) in merged.items():
-                    fh.write(json.dumps(
-                        {"grid": ghash, "i": index, "key": key, "r": payload}
-                    ))
-                    fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._fh.close()
-            os.replace(tmp, self.path)
-            _fsync_dir(self.path)
-            self._epoch = _bump_path_epoch(self.path)
-            self._fh = open(self.path, "a", encoding="utf-8")
-
     def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+        self._log.close()
 
     def __enter__(self) -> "GridJournal":
         return self
@@ -526,142 +465,4 @@ class GridJournal:
         return (
             f"GridJournal({self.path!r}, entries={len(self._entries)}, "
             f"hits={self.hits}, written={self.written})"
-        )
-
-
-class WALJournal:
-    """Crash-safe write-ahead log over JSONL records.
-
-    The storage discipline :class:`GridJournal` uses for checkpoint
-    replay, generalized for *state machine* replay — the shard
-    supervisor leases jobs through one of these, and recovery after a
-    supervisor crash is a pure fold over the record stream
-    (:func:`repro.serve.shards.replay_wal_state`).  The contract:
-
-    * :meth:`commit` is **durable before it returns** — the line is
-      written, flushed, and fsync'd (``fsync=False`` drops the fsync
-      for tests that hammer the log);
-    * records are committed with sorted keys, so a byte-for-byte
-      identical state always serializes to a byte-for-byte identical
-      log suffix (replay comparisons can be exact);
-    * opening with ``resume=True`` recovers from a crash mid-commit by
-      truncating a torn final record (no newline, or an unparseable
-      final line) — every fully committed record survives;
-    * :meth:`rotate` atomically replaces the log with a compacted
-      snapshot: write aside, fsync the snapshot, ``os.replace`` over
-      the live path, fsync the directory.
-
-    Thread safety matches :class:`GridJournal`: instance appends are
-    serialized, and all instances on one path share the process-global
-    per-path lock.
-    """
-
-    def __init__(self, path: str, resume: bool = False, fsync: bool = True):
-        self.path = str(path)
-        self.fsync = bool(fsync)
-        self.committed = 0
-        #: Bytes of torn tail dropped by the last resume (0 = clean).
-        self.recovered_bytes = 0
-        #: Complete-but-corrupt interior lines skipped by the last resume.
-        self.skipped_records = 0
-        self._lock = threading.Lock()
-        self._path_lock = _path_lock(self.path)
-        self._records: list[dict] = []
-        with self._path_lock:
-            if resume and os.path.exists(self.path):
-                records, keep, skipped = _recover_jsonl(self.path)
-                size = os.path.getsize(self.path)
-                if keep < size:
-                    _truncate_to(self.path, keep)
-                    self.recovered_bytes = size - keep
-                self.skipped_records = skipped
-                self._records = [
-                    r for r in records if r.get("kind") != "wal-header"
-                ]
-            else:
-                open(self.path, "w", encoding="utf-8").close()
-            self._fh = open(self.path, "a", encoding="utf-8")
-            self._epoch = _path_epoch(self.path)
-        if os.path.getsize(self.path) == 0:
-            self.commit({"kind": "wal-header", "version": _WAL_VERSION})
-
-    def commit(self, record: dict) -> None:
-        """Durably append one record; it is on disk when this returns."""
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with self._lock:
-            with self._path_lock:
-                current = _path_epoch(self.path)
-                if current != self._epoch:
-                    # Another instance rotated the path: our handle
-                    # points at the unlinked old inode.  Reopen first.
-                    self._fh.close()
-                    self._fh = open(self.path, "a", encoding="utf-8")
-                    self._epoch = current
-                self._fh.write(line)
-                self._fh.flush()
-                if self.fsync:
-                    os.fsync(self._fh.fileno())
-            if record.get("kind") != "wal-header":
-                self._records.append(record)
-            self.committed += 1
-
-    def replay(self) -> list[dict]:
-        """Every committed record in commit order (header excluded)."""
-        with self._lock:
-            return list(self._records)
-
-    @property
-    def epoch(self) -> int:
-        """Rotation epoch this instance's handle is valid for."""
-        return self._epoch
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def rotate(self, records: Iterable[dict] | None = None) -> None:
-        """Atomically replace the log with a compacted snapshot.
-
-        ``records`` defaults to the current record list (a no-op
-        compaction that still exercises the atomic-replace path);
-        callers pass the survivor set after folding the state machine.
-        """
-        with self._lock:
-            snapshot = (
-                list(self._records) if records is None else list(records)
-            )
-            tmp = f"{self.path}.rotate"
-            with self._path_lock:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(
-                        {"kind": "wal-header", "version": _WAL_VERSION}
-                    ))
-                    fh.write("\n")
-                    for rec in snapshot:
-                        fh.write(json.dumps(rec, sort_keys=True))
-                        fh.write("\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                self._fh.close()
-                os.replace(tmp, self.path)
-                _fsync_dir(self.path)
-                self._epoch = _bump_path_epoch(self.path)
-                self._fh = open(self.path, "a", encoding="utf-8")
-            self._records = snapshot
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
-
-    def __enter__(self) -> "WALJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"WALJournal({self.path!r}, records={len(self._records)}, "
-            f"committed={self.committed}, fsync={self.fsync})"
         )

@@ -14,13 +14,12 @@ supplies the two ingredients the service needs to make that true:
   normalized — two semantically identical configs can never hash to
   different cache entries.
 
-* :class:`MemoStore` — the :class:`~repro.resilience.journal
-  .GridJournal` generalized into a persistent content-addressed store:
-  the same JSONL append discipline, torn-tail recovery, atomic
-  write-aside rotation, per-path locks, and rotation epochs, but keyed
-  by content hash instead of ``(grid hash, index)``, with LRU
-  byte-budget eviction.  The bytes a store pins are visible to the
-  admission :class:`~repro.serve.budget.ByteBudget` through the
+* :class:`MemoStore` — a persistent content-addressed LRU store: the
+  memo record schema (``put`` records and ``evict`` tombstones, fsync
+  off) over :class:`~repro.resilience.journal.AppendLog`, keyed by
+  content hash, with the LRU byte budget kept here.  The bytes a store
+  pins are visible to the admission
+  :class:`~repro.serve.budget.ByteBudget` through the
   ``"memo"`` / ``"arena+memo"`` probes, so cache growth is charged
   against the same ceiling that sheds oversized submissions.
 
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -48,12 +46,7 @@ from functools import lru_cache
 from ..bench.runner import GridResult
 from ..obs.metrics import default_registry
 from ..resilience.journal import (
-    _bump_path_epoch,
-    _fsync_dir,
-    _path_epoch,
-    _path_lock,
-    _recover_jsonl,
-    _truncate_to,
+    AppendLog,
     canonical_fragment,
     sim_result_from_dict,
     sim_result_to_dict,
@@ -68,6 +61,7 @@ __all__ = [
 ]
 
 _MEMO_VERSION = 1
+_MEMO_HEADER = {"kind": "memo-header", "version": _MEMO_VERSION}
 
 #: Engine job kinds whose payload is a single GridPoint.
 _POINT_KINDS = ("estimate", "simulate")
@@ -238,17 +232,26 @@ class _Entry:
         self.nbytes = nbytes
 
 
+def _logged_entry(kind, payload) -> _Entry | None:
+    """The entry a logged ``put`` stores, or ``None`` if it is corrupt."""
+    if not isinstance(payload, dict):
+        return None
+    try:
+        decode_result(kind, payload)  # structural validation
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return _Entry(kind, payload, None, len(json.dumps(payload)))
+
+
 class MemoStore:
     """Content-addressed LRU result cache with optional persistence.
 
     ``path=None`` keeps the store purely in memory (tests, soaks).
-    With a path, every ``put`` appends a durable JSONL record and every
-    eviction a tombstone, exactly the :class:`GridJournal` storage
-    discipline: torn tails are truncated on resume, ``rotate()``
-    compacts atomically (write aside, fsync, replace, fsync dir, bump
-    the path epoch), and instances sharing one path share the
-    process-global lock and revalidate their append handles against
-    the rotation epoch.
+    With a path, every ``put`` appends a record and every eviction a
+    tombstone to an :class:`~repro.resilience.journal.AppendLog`
+    (fsync off): torn tails are truncated on resume, and records that
+    parse but do not decode are skipped and counted in
+    :attr:`skipped_records`.
 
     ``limit_bytes`` is the LRU byte budget: a ``put`` that lifts the
     store past the limit evicts least-recently-used entries until it
@@ -261,88 +264,59 @@ class MemoStore:
         path: str | None = None,
         limit_bytes: int | None = None,
         resume: bool = True,
-        fsync: bool = False,
     ):
         self.path = str(path) if path else None
         self.limit_bytes = None if limit_bytes is None else int(limit_bytes)
-        self.fsync = bool(fsync)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.written = 0
         #: Bytes of torn tail dropped by the last resume (0 = clean).
         self.recovered_bytes = 0
+        #: Corrupt lines and structurally corrupt records skipped on resume.
+        self.skipped_records = 0
         self._bytes = 0
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._registry = default_registry()
-        self._fh = None
-        self._epoch = 0
+        self._log = None
         if self.path is not None:
-            self._path_lock = _path_lock(self.path)
-            with self._path_lock:
-                if resume and os.path.exists(self.path):
-                    self._load()
-                else:
-                    open(self.path, "w", encoding="utf-8").close()
-                self._fh = open(self.path, "a", encoding="utf-8")
-                self._epoch = _path_epoch(self.path)
-                if os.path.getsize(self.path) == 0:
-                    self._append(
-                        {"kind": "memo-header", "version": _MEMO_VERSION}
-                    )
+            self._log = AppendLog(
+                self.path, _MEMO_HEADER, resume=resume, fsync=False
+            )
+            self.recovered_bytes = self._log.recovered_bytes
+            self.skipped_records = self._log.skipped_records
+            self._fold(self._log.records)
         with _LIVE_STORES_GUARD:
             _LIVE_STORES.add(self)
 
     # ----------------------------------------------------------- persistence
-    def _load(self) -> None:
+    def _fold(self, records: list[dict]) -> None:
         """Fold the put/evict record stream into the live entry set."""
-        records, keep, _skipped = _recover_jsonl(self.path)
-        size = os.path.getsize(self.path)
-        if keep < size:
-            _truncate_to(self.path, keep)
-            self.recovered_bytes = size - keep
         for rec in records:
-            op = rec.get("op")
+            op, key = rec.get("op"), rec.get("k")
+            entry = None
             if op == "put":
-                key, kind, payload = rec.get("k"), rec.get("kind"), rec.get("v")
-                if not isinstance(key, str) or not isinstance(payload, dict):
-                    continue
-                try:
-                    decode_result(kind, payload)  # structural validation
-                except (KeyError, TypeError, ValueError):
-                    continue
-                nbytes = len(json.dumps(payload))
-                old = self._entries.pop(key, None)
-                if old is not None:
-                    self._bytes -= old.nbytes
-                self._entries[key] = _Entry(kind, payload, None, nbytes)
-                self._bytes += nbytes
-            elif op == "evict":
-                old = self._entries.pop(rec.get("k"), None)
-                if old is not None:
-                    self._bytes -= old.nbytes
+                entry = _logged_entry(rec.get("kind"), rec.get("v"))
+                valid = entry is not None
+            else:
+                valid = op == "evict"
+            if not valid or not isinstance(key, str):
+                self.skipped_records += 1
+                continue
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= old.nbytes
+            if entry is not None:
+                self._entries[key] = entry
+                self._bytes += entry.nbytes
         # Re-apply the byte budget: the log may hold more live entries
         # than the (possibly newly lowered) limit admits.
         self._evict_to_limit(persist=False)
 
-    def _append(self, rec: dict) -> None:
-        """Append one record; call while holding the path lock."""
-        current = _path_epoch(self.path)
-        if current != self._epoch:
-            self._fh.close()
-            self._fh = open(self.path, "a", encoding="utf-8")
-            self._epoch = current
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-
     def _persist(self, rec: dict) -> None:
-        if self._fh is None:
-            return
-        with self._path_lock:
-            self._append(rec)
+        if self._log is not None:
+            self._log.append(rec)
 
     # ----------------------------------------------------------- cache ops
     def get(self, key: str):
@@ -408,60 +382,9 @@ class MemoStore:
             if persist and entry.payload is not None:
                 self._persist({"op": "evict", "k": key})
 
-    # ----------------------------------------------------------- maintenance
-    def rotate(self) -> None:
-        """Compact the log to the live entry set, atomically.
-
-        Same discipline as :meth:`GridJournal.rotate`: the snapshot is
-        the union of what is on disk (another instance may have put
-        entries this one never loaded) and this instance's live
-        entries, written aside, fsync'd, renamed over the live path,
-        directory fsync'd, and the rotation epoch bumped so every
-        other instance reopens its stale handle before its next write.
-        """
-        if self.path is None:
-            return
-        with self._lock, self._path_lock:
-            merged: "OrderedDict[str, _Entry]" = OrderedDict()
-            if os.path.exists(self.path):
-                records, _, _ = _recover_jsonl(self.path)
-                for rec in records:
-                    op = rec.get("op")
-                    if op == "put" and isinstance(rec.get("v"), dict):
-                        merged[rec["k"]] = _Entry(
-                            rec.get("kind"), rec["v"], None,
-                            len(json.dumps(rec["v"])),
-                        )
-                    elif op == "evict":
-                        merged.pop(rec.get("k"), None)
-            for key, entry in self._entries.items():
-                if entry.payload is not None:
-                    merged[key] = entry
-            tmp = f"{self.path}.rotate"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(
-                    {"kind": "memo-header", "version": _MEMO_VERSION}
-                ))
-                fh.write("\n")
-                for key, entry in merged.items():
-                    fh.write(json.dumps(
-                        {"op": "put", "k": key, "kind": entry.kind,
-                         "v": entry.payload},
-                        sort_keys=True,
-                    ))
-                    fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._fh.close()
-            os.replace(tmp, self.path)
-            _fsync_dir(self.path)
-            self._epoch = _bump_path_epoch(self.path)
-            self._fh = open(self.path, "a", encoding="utf-8")
-
     def close(self) -> None:
-        with self._lock:
-            if self._fh is not None and not self._fh.closed:
-                self._fh.close()
+        if self._log is not None:
+            self._log.close()
 
     def __enter__(self) -> "MemoStore":
         return self
@@ -473,11 +396,6 @@ class MemoStore:
     @property
     def current_bytes(self) -> int:
         return self._bytes
-
-    @property
-    def epoch(self) -> int:
-        """Rotation epoch this instance's handle is valid for."""
-        return self._epoch
 
     def __len__(self) -> int:
         with self._lock:

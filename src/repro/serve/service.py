@@ -29,10 +29,11 @@ that *fails closed* under load (see ``docs/resilience.md``):
   behind the same front: a shard that segfaults, OOMs, or is
   SIGKILLed takes down only itself; its leased job raises
   ``worker_lost``, is re-queued on the replacement by the retry
-  budget, or walks the same degradation ladder.  With a
-  :class:`~repro.resilience.journal.WALJournal` attached, every lease
-  and every settle is durable — ticket state is reconstructible from
-  the log alone after a supervisor crash.
+  budget, or walks the same degradation ladder.  With a write-ahead
+  log attached (``wal=``, an :class:`~repro.resilience.journal
+  .AppendLog`), every lease and every settle is durable — ticket
+  state is reconstructible from the log alone after a supervisor
+  crash.
 
 * **Memoization + coalescing** (``memo=...``, ``coalesce=True``) —
   every job kind has a canonical content hash
@@ -86,7 +87,7 @@ from ..obs import trace as _trace
 from ..obs.metrics import default_registry
 from ..parallel.pool import shared_pool_stats
 from ..resilience import faults as _faults
-from ..resilience.journal import GridJournal, WALJournal, grid_hash, point_key
+from ..resilience.journal import AppendLog, GridJournal, grid_hash, point_key
 from ..resilience.retry import (
     PROCESS_FAILURE_KINDS,
     RETRY_BUDGET_KIND,
@@ -105,7 +106,7 @@ from .breaker import STATE_CODES, CircuitBreaker
 from .budget import ByteBudget
 from .memo import MemoStore, canonical_job_key
 from .queue import BoundedPriorityQueue
-from .shards import ShardOverBudget, ShardPool
+from .shards import WAL_FSYNC, WAL_HEADER, ShardOverBudget, ShardPool
 
 __all__ = [
     "JOB_KINDS",
@@ -295,7 +296,7 @@ class JobService:
         hang_timeout_s: float = 30.0,
         supervise_interval_s: float = 0.05,
         shards: int = 0,
-        wal: WALJournal | str | None = None,
+        wal: AppendLog | str | None = None,
         shard_faults: dict | None = None,
         shard_heartbeat_timeout_s: float = 5.0,
         shard_byte_budget: int | None = None,
@@ -323,7 +324,10 @@ class JobService:
         # path) makes every lease and settle durable.
         self.num_shards = int(shards)
         self._owns_wal = isinstance(wal, str)
-        self.wal = WALJournal(wal, resume=True) if isinstance(wal, str) else wal
+        self.wal = (
+            AppendLog(wal, WAL_HEADER, resume=True, fsync=WAL_FSYNC)
+            if isinstance(wal, str) else wal
+        )
         self.shard_faults = shard_faults
         self.shard_heartbeat_timeout_s = float(shard_heartbeat_timeout_s)
         self.shard_byte_budget = shard_byte_budget
@@ -578,7 +582,7 @@ class JobService:
                     self.degraded_to.get(outcome.degraded_to, 0) + 1
                 )
         if self.wal is not None:
-            self.wal.commit({
+            self.wal.append({
                 "op": "settle", "seq": ticket.seq, "status": outcome.status,
                 "reason": outcome.reason,
                 "degraded_to": outcome.degraded_to,

@@ -58,7 +58,8 @@ from ..obs import trace as _trace
 from ..obs.metrics import default_registry
 from ..resilience import faults as _faults
 from ..resilience.journal import (
-    WALJournal,
+    AppendLog,
+    read_log,
     sim_result_from_dict,
     sim_result_to_dict,
 )
@@ -71,7 +72,27 @@ __all__ = [
     "LeaseUnavailable",
     "ShardOverBudget",
     "replay_wal_state",
+    "WAL_HEADER",
+    "WAL_FSYNC",
 ]
+
+#: The WAL record schema over :class:`~repro.resilience.journal
+#: .AppendLog`: its header record, and fsync on — a record whose append
+#: returned survives ``kill -9`` of the whole process.
+WAL_HEADER = {"kind": "wal-header", "version": 1}
+WAL_FSYNC = True
+
+#: The field each WAL ``op`` folds on and the type it must have; a
+#: record with an unknown op or a missing/mistyped field is corrupt.
+_WAL_FIELDS = {
+    "lease": ("lid", str),
+    "release": ("lid", str),
+    "orphan": ("lid", str),
+    "recover": ("lids", list),
+    "settle": ("seq", (int, str)),
+    "spawn": ("shard", str),
+    "reap": ("shard", str),
+}
 
 #: Environment override for the multiprocessing start method.  ``fork``
 #: (the default where available) inherits the parent's warm workload
@@ -220,15 +241,17 @@ class Shard:
 def replay_wal_state(records_or_path) -> dict:
     """Fold a WAL record stream into the state it proves.
 
-    Accepts a record list or a path (opened read-only with torn-tail
-    recovery).  Returns::
+    Accepts a record list or a path (read with
+    :func:`~repro.resilience.journal.read_log`, which never writes: a
+    missing path raises ``FileNotFoundError``, and a torn tail is
+    excluded but left on disk).  Returns::
 
         {
           "settled":     {str(seq): {"status", "reason", "degraded_to"}},
           "open_leases": {lid: {"seq", "shard", "site"}},
           "shards":      {ident: last lifecycle op},
           "counts":      {"leases", "releases", "orphans", "recovered",
-                          "spawns", "reaps", "settles"},
+                          "spawns", "reaps", "settles", "skipped"},
         }
 
     ``settled`` is the reconstructed ticket state — after a supervisor
@@ -236,56 +259,59 @@ def replay_wal_state(records_or_path) -> dict:
     soak's sixth invariant).  ``open_leases`` must be empty after a
     clean drain (the fifth): every lease is closed by ``release``
     (job completed), ``orphan`` (shard died, job re-queued/degraded),
-    or ``recover`` (post-crash sweep).
+    or ``recover`` (post-crash sweep).  Records with an unknown op or
+    a missing/mistyped field are skipped and counted in ``skipped``.
     """
     if isinstance(records_or_path, (str, os.PathLike)):
-        wal = WALJournal(str(records_or_path), resume=True, fsync=False)
-        try:
-            records = wal.replay()
-        finally:
-            wal.close()
+        records = read_log(os.fspath(records_or_path), WAL_HEADER)
     else:
-        records = list(records_or_path)
+        records = records_or_path
     settled: dict[str, dict] = {}
     open_leases: dict[str, dict] = {}
     shards: dict[str, str] = {}
     counts = {
         "leases": 0, "releases": 0, "orphans": 0, "recovered": 0,
-        "spawns": 0, "reaps": 0, "settles": 0,
+        "spawns": 0, "reaps": 0, "settles": 0, "skipped": 0,
     }
     for rec in records:
         op = rec.get("op")
-        if op == "lease":
+        spec = _WAL_FIELDS.get(op) if isinstance(op, str) else None
+        value = rec.get(spec[0]) if spec else None
+        if spec is None or not isinstance(value, spec[1]) or (
+            op == "recover" and not all(isinstance(v, str) for v in value)
+        ):
+            counts["skipped"] += 1
+        elif op == "lease":
             counts["leases"] += 1
-            open_leases[rec["lid"]] = {
+            open_leases[value] = {
                 "seq": rec.get("seq"),
                 "shard": rec.get("shard"),
                 "site": rec.get("site", ""),
             }
         elif op == "release":
             counts["releases"] += 1
-            open_leases.pop(rec["lid"], None)
+            open_leases.pop(value, None)
         elif op == "orphan":
             counts["orphans"] += 1
-            open_leases.pop(rec["lid"], None)
+            open_leases.pop(value, None)
         elif op == "recover":
-            for lid in rec.get("lids", ()):
+            for lid in value:
                 if lid in open_leases:
                     counts["recovered"] += 1
                     open_leases.pop(lid, None)
         elif op == "settle":
             counts["settles"] += 1
-            settled[str(rec["seq"])] = {
+            settled[str(value)] = {
                 "status": rec.get("status"),
                 "reason": rec.get("reason", ""),
                 "degraded_to": rec.get("degraded_to"),
             }
         elif op == "spawn":
             counts["spawns"] += 1
-            shards[rec["shard"]] = "spawned"
+            shards[value] = "spawned"
         elif op == "reap":
             counts["reaps"] += 1
-            shards[rec["shard"]] = "reaped"
+            shards[value] = "reaped"
     return {
         "settled": settled,
         "open_leases": open_leases,
@@ -300,7 +326,7 @@ class ShardPool:
     def __init__(
         self,
         shards: int = 2,
-        wal: WALJournal | None = None,
+        wal: AppendLog | None = None,
         byte_budget_bytes: int | None = None,
         fault_params: dict | None = None,
         heartbeat_timeout_s: float = 5.0,
@@ -402,13 +428,13 @@ class ShardPool:
     # -------------------------------------------------------------------- WAL
     def _wal_commit(self, record: dict) -> None:
         if self.wal is not None:
-            self.wal.commit(record)
+            self.wal.append(record)
 
     def _recover_wal(self) -> None:
         """Close leases a crashed supervisor left open (orphan-job sweep)."""
         if self.wal is None:
             return
-        state = replay_wal_state(self.wal.replay())
+        state = replay_wal_state(self.wal.records)
         if not state["open_leases"]:
             return
         self.recovered_leases = [

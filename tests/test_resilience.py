@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from repro.bench.runner import GridPoint, GridResult, run_grid
+from repro.machine.simulator import SimResult
 from repro.machine.spec import IVY_DESKTOP
 from repro.resilience import faults
 from repro.resilience.faults import (
@@ -24,9 +25,11 @@ from repro.resilience.faults import (
     inject_faults,
 )
 from repro.resilience.journal import (
+    AppendLog,
     GridJournal,
     grid_hash,
     point_key,
+    read_log,
     sim_result_from_dict,
     sim_result_to_dict,
 )
@@ -38,6 +41,8 @@ from repro.resilience.retry import (
 )
 from repro.resilience.watchdog import is_finite_result, verify_variants_bitwise
 from repro.schedules import Variant
+from repro.serve import MemoStore
+from repro.serve.shards import WAL_FSYNC, WAL_HEADER, replay_wal_state
 
 DOMAIN = (32, 32, 32)
 
@@ -494,6 +499,22 @@ class TestJournalCorruptRecords:
             assert len(j) == 0
             assert j.lookup(ghash, 0, key) is None
 
+    def test_unhashable_grid_is_skipped_and_counted(self, tmp_path):
+        points = small_grid()
+        r = sim_result_to_dict(points[0].evaluate())
+        path = str(tmp_path / "j.jsonl")
+        self._write_journal(
+            path,
+            [
+                json.dumps({"grid": ["x"], "i": 0, "key": "k", "r": r}),
+                json.dumps({"grid": "g", "i": 0, "key": ["k"], "r": r}),
+                json.dumps({"grid": "g", "i": 1, "key": "k", "r": r}),
+            ],
+        )
+        with GridJournal(path, resume=True) as j:  # TypeError pre-fix
+            assert len(j) == 1 and j.skipped_records == 2
+            assert j.lookup("g", 1, "k") is not None
+
     def test_valid_records_survive_surrounding_corruption(self, tmp_path):
         points = small_grid()
         clean = run_grid(points)
@@ -611,8 +632,6 @@ class TestConcurrentJournalWriters:
     def test_two_instances_interleave_whole_lines(self, tmp_path):
         import threading
 
-        from repro.machine.simulator import SimResult
-
         path = str(tmp_path / "shared.jsonl")
         j1 = GridJournal(path)
         j2 = GridJournal(path, resume=True)
@@ -656,23 +675,27 @@ class TestConcurrentJournalWriters:
         assert _path_lock(str(path)) is _path_lock(str(path))
 
 # ------------------------------------------------------------- WAL journal
-class TestWALJournal:
-    def test_commit_replay_resume_roundtrip(self, tmp_path):
-        from repro.resilience.journal import WALJournal
+def wal_log(path, resume=False):
+    return AppendLog(path, WAL_HEADER, resume=resume, fsync=WAL_FSYNC)
 
+
+class TestWALJournal:
+    """The WAL record schema over AppendLog."""
+
+    def test_commit_replay_resume_roundtrip(self, tmp_path):
         path = str(tmp_path / "w.wal")
         records = [
             {"op": "lease", "lid": "l0", "seq": 0},
             {"op": "release", "lid": "l0"},
             {"op": "settle", "seq": 0, "status": "ok"},
         ]
-        with WALJournal(path) as w:
+        with wal_log(path) as w:
             for rec in records:
-                w.commit(rec)
-            assert w.replay() == records
-            assert w.committed == len(records) + 1  # + header
-        with WALJournal(path, resume=True) as w2:
-            assert w2.replay() == records
+                w.append(rec)
+            assert w.records == []  # a fresh log found nothing on open
+        assert read_log(path, WAL_HEADER) == records
+        with wal_log(path, resume=True) as w2:
+            assert w2.records == records
             assert w2.recovered_bytes == 0
             assert w2.skipped_records == 0
 
@@ -680,173 +703,224 @@ class TestWALJournal:
         # Same logical records, different dict insertion order: the
         # sorted-keys discipline makes the logs byte-for-byte identical,
         # which is what lets replay comparisons be exact.
-        from repro.resilience.journal import WALJournal
-
         a, b = str(tmp_path / "a.wal"), str(tmp_path / "b.wal")
-        with WALJournal(a) as w:
-            w.commit({"op": "lease", "lid": "l0", "seq": 4})
-        with WALJournal(b) as w:
-            w.commit({"seq": 4, "lid": "l0", "op": "lease"})
+        with wal_log(a) as w:
+            w.append({"op": "lease", "lid": "l0", "seq": 4})
+        with wal_log(b) as w:
+            w.append({"seq": 4, "lid": "l0", "op": "lease"})
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
     def test_open_without_resume_truncates(self, tmp_path):
-        from repro.resilience.journal import WALJournal
-
         path = str(tmp_path / "w.wal")
-        with WALJournal(path) as w:
-            w.commit({"op": "lease", "lid": "l0"})
-        with WALJournal(path) as w2:  # resume=False: fresh log
-            assert w2.replay() == []
-        with WALJournal(path, resume=True) as w3:
-            assert w3.replay() == []
-
-    def test_rotate_compacts_to_survivor_set(self, tmp_path):
-        from repro.resilience.journal import WALJournal
-
-        path = str(tmp_path / "w.wal")
-        with WALJournal(path) as w:
-            w.commit({"op": "lease", "lid": "l0"})
-            w.commit({"op": "release", "lid": "l0"})
-            w.commit({"op": "lease", "lid": "l1"})
-            w.rotate(records=[{"op": "lease", "lid": "l1"}])
-            assert w.replay() == [{"op": "lease", "lid": "l1"}]
-            # Appends after rotation land in the new file.
-            w.commit({"op": "release", "lid": "l1"})
-        assert not os.path.exists(path + ".rotate")
-        with WALJournal(path, resume=True) as w2:
-            assert w2.replay() == [
-                {"op": "lease", "lid": "l1"},
-                {"op": "release", "lid": "l1"},
-            ]
+        with wal_log(path) as w:
+            w.append({"op": "lease", "lid": "l0"})
+        with wal_log(path) as w2:  # resume=False: fresh log
+            assert w2.records == []
+        with wal_log(path, resume=True) as w3:
+            assert w3.records == []
 
     def test_interior_corruption_skipped_and_counted(self, tmp_path):
-        from repro.resilience.journal import WALJournal
-
         path = str(tmp_path / "w.wal")
-        with WALJournal(path) as w:
-            w.commit({"op": "lease", "lid": "l0"})
-            w.commit({"op": "release", "lid": "l0"})
+        with wal_log(path) as w:
+            w.append({"op": "lease", "lid": "l0"})
+            w.append({"op": "release", "lid": "l0"})
         with open(path) as fh:
             lines = fh.read().splitlines()
         lines.insert(2, "{torn-interior-garbage")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        with WALJournal(path, resume=True) as w2:
-            assert w2.replay() == [
+        with wal_log(path, resume=True) as w2:
+            assert w2.records == [
                 {"op": "lease", "lid": "l0"},
                 {"op": "release", "lid": "l0"},
             ]
             assert w2.skipped_records == 1
 
 
+def sim(i: int) -> SimResult:
+    return SimResult(
+        machine="m", variant="v", threads=1, time_s=float(i),
+        flops=1.0, dram_bytes=1.0, phase_times=[float(i)],
+    )
+
+
+#: One record schema each over AppendLog, as ``(open, write, present)``:
+#: open a store (fresh or resumed), write record ``i``, and whether
+#: record ``i`` is live in an opened store.
+SCHEMAS = {
+    "grid": (
+        lambda path, resume: GridJournal(path, resume=resume),
+        lambda j, i: j.record("g", i, f"k{i}", sim(i)),
+        lambda j, i: j.lookup("g", i, f"k{i}") is not None,
+    ),
+    "wal": (
+        wal_log,
+        lambda w, i: w.append({"op": "lease", "lid": f"l{i}", "seq": i}),
+        lambda w, i: {"op": "lease", "lid": f"l{i}", "seq": i} in w.records,
+    ),
+    "memo": (
+        lambda path, resume: MemoStore(path, resume=resume),
+        lambda m, i: m.put(f"k{i}", "estimate", sim(i)),
+        lambda m, i: f"k{i}" in m,
+    ),
+}
+
+
 class TestTailCorruptionByteByByte:
-    """Satellite: crash-consistency sweep over every tail byte.
+    """Crash-consistency sweep over every tail byte.
 
     A crash mid-append can stop the write after *any* byte of the final
     record; whatever the cut or corruption point, resume must (a) never
     raise, (b) keep every fully committed prefix record, and (c) leave
-    the file appendable."""
+    the file appendable.  Every record schema shares one AppendLog, so
+    each sweep runs over all three."""
 
-    def test_wal_truncated_at_every_byte(self, tmp_path):
-        from repro.resilience.journal import WALJournal
-
-        base = str(tmp_path / "base.wal")
-        with WALJournal(base) as w:
-            w.commit({"op": "lease", "lid": "l0", "seq": 0})
-            w.commit({"op": "lease", "lid": "l1", "seq": 1})
+    def _pristine(self, tmp_path, schema):
+        open_, write, _ = SCHEMAS[schema]
+        base = str(tmp_path / "base.log")
+        with open_(base, False) as store:
+            write(store, 0)
+            write(store, 1)
         with open(base, "rb") as fh:
-            pristine = fh.read()
-        lines = pristine.splitlines(keepends=True)
-        prefix, final = b"".join(lines[:-1]), lines[-1]
-        path = str(tmp_path / "cut.wal")
+            lines = fh.read().splitlines(keepends=True)
+        return b"".join(lines[:-1]), lines[-1]
+
+    def _check_resumes(self, path, schema, recovered):
+        open_, write, present = SCHEMAS[schema]
+        with open_(path, True) as store:
+            assert present(store, 0) and not present(store, 1)
+            assert store.recovered_bytes == recovered
+            write(store, 2)
+        with open_(path, True) as store:
+            assert [i for i in range(3) if present(store, i)] == [0, 2]
+
+    @pytest.mark.parametrize("schema", sorted(SCHEMAS))
+    def test_truncated_at_every_byte(self, tmp_path, schema):
+        prefix, final = self._pristine(tmp_path, schema)
+        path = str(tmp_path / "cut.log")
         for cut in range(len(final)):
             with open(path, "wb") as fh:
                 fh.write(prefix + final[:cut])
-            with WALJournal(path, resume=True) as w:
-                assert w.replay() == [{"op": "lease", "lid": "l0", "seq": 0}]
-                if cut:
-                    assert w.recovered_bytes == cut
-                w.commit({"op": "release", "lid": "l0"})
-            with WALJournal(path, resume=True) as w2:
-                assert w2.replay() == [
-                    {"op": "lease", "lid": "l0", "seq": 0},
-                    {"op": "release", "lid": "l0"},
-                ]
+            self._check_resumes(path, schema, recovered=cut)
 
-    def test_wal_corrupted_at_every_byte(self, tmp_path):
-        from repro.resilience.journal import WALJournal
-
-        base = str(tmp_path / "base.wal")
-        with WALJournal(base) as w:
-            w.commit({"op": "lease", "lid": "l0", "seq": 0})
-            w.commit({"op": "lease", "lid": "l1", "seq": 1})
-        with open(base, "rb") as fh:
-            pristine = fh.read()
-        lines = pristine.splitlines(keepends=True)
-        prefix, final = b"".join(lines[:-1]), lines[-1]
-        path = str(tmp_path / "corrupt.wal")
+    @pytest.mark.parametrize("schema", sorted(SCHEMAS))
+    def test_corrupted_at_every_byte(self, tmp_path, schema):
+        prefix, final = self._pristine(tmp_path, schema)
+        path = str(tmp_path / "corrupt.log")
         for i in range(len(final)):
-            stomped = final[:i] + b"\x00" + final[i + 1:]
             with open(path, "wb") as fh:
-                fh.write(prefix + stomped)
-            with WALJournal(path, resume=True) as w:
-                # The corrupt final record is dropped; the prefix survives.
-                assert w.replay() == [{"op": "lease", "lid": "l0", "seq": 0}]
-                w.commit({"op": "release", "lid": "l0"})
-            with WALJournal(path, resume=True) as w2:
-                assert len(w2.replay()) == 2
-
-    def test_grid_journal_truncated_at_every_byte(self, tmp_path):
-        points = small_grid(n_threads=(1,), boxes=(16, 32))  # 2 points
-        base = str(tmp_path / "base.jsonl")
-        with GridJournal(base) as j:
-            run_grid(points, journal=j)
-        with open(base, "rb") as fh:
-            pristine = fh.read()
-        lines = pristine.splitlines(keepends=True)
-        prefix, final = b"".join(lines[:-1]), lines[-1]
-        ghash = grid_hash(points)
-        path = str(tmp_path / "cut.jsonl")
-        for cut in range(0, len(final), 7):  # stride keeps runtime sane
-            with open(path, "wb") as fh:
-                fh.write(prefix + final[:cut])
-            with GridJournal(path, resume=True) as j:
-                assert len(j) == 1  # first record always survives
-                assert j.lookup(ghash, 0, point_key(points[0])) is not None
-                assert j.recovered_bytes == cut  # the torn partial line
-            with GridJournal(path, resume=True) as j2:
-                out = run_grid(points, journal=j2)  # recomputes the tail
-            assert all(r is not None for r in out)
+                fh.write(prefix + final[:i] + b"\x00" + final[i + 1:])
+            # The corrupt final record is dropped whole; the prefix survives.
+            self._check_resumes(path, schema, recovered=len(final))
 
 
-class TestGridJournalRotate:
-    def test_rotate_then_resume_replays_everything(self, tmp_path):
-        points = small_grid()
-        path = str(tmp_path / "j.jsonl")
-        with GridJournal(path) as j:
-            first = run_grid(points, journal=j)
-            j.rotate()
-            assert len(j) == len(points)
-        assert not os.path.exists(path + ".rotate")
-        with GridJournal(path, resume=True) as j2:
-            second = run_grid(points, journal=j2)
-            assert j2.hits == len(points) and j2.written == 0
-        assert results_equal(first, second)
+class TestEarlierFormatFixtures:
+    """Log files as the earlier per-store writers produced them, byte for
+    byte: a grid journal whose result payloads keep SimResult field
+    order (unsorted keys), a WAL and a memo log.  They must resume to
+    the same entries and state, and the WAL and memo writers must still
+    produce these exact bytes for the same record sequence."""
 
-    def test_rotate_drops_superseded_lines(self, tmp_path):
-        points = small_grid(n_threads=(1,), boxes=(16,))
-        path = str(tmp_path / "j.jsonl")
-        r = points[0].evaluate()
-        with GridJournal(path) as j:
-            for _ in range(5):  # re-record the same slot five times
-                j.record(grid_hash(points), 0, point_key(points[0]), r)
-            before = os.path.getsize(path)
-            j.rotate()
-            after = os.path.getsize(path)
-        assert after < before
-        with GridJournal(path, resume=True) as j2:
-            assert len(j2) == 1
+    GRID = (
+        '{"kind": "header", "version": 1}\n'
+        '{"grid": "g0", "i": 0, "key": "k0", "r": {"machine": "m", '
+        '"variant": "v", "threads": 1, "time_s": 0.5, "flops": 1.0, '
+        '"dram_bytes": 2.0, "phase_times": [0.0]}}\n'
+        '{"grid": "g0", "i": 1, "key": "k1", "r": {"machine": "m", '
+        '"variant": "v", "threads": 1, "time_s": 1.5, "flops": 1.0, '
+        '"dram_bytes": 2.0, "phase_times": [1.0]}}\n'
+        '{"grid": "g0", "i": 0, "key": "k0b", "r": {"machine": "m", '
+        '"variant": "v", "threads": 1, "time_s": 2.5, "flops": 1.0, '
+        '"dram_bytes": 2.0, "phase_times": [2.0]}}\n'
+    )
+    WAL_RECORDS = [
+        {"op": "spawn", "shard": "s0", "pid": 7},
+        {"op": "lease", "lid": "l0", "seq": 0, "shard": "s0", "site": "a"},
+        {"op": "lease", "lid": "l1", "seq": 1, "shard": "s0", "site": "b"},
+        {"op": "release", "lid": "l0"},
+        {"op": "settle", "seq": 0, "status": "ok", "reason": "",
+         "degraded_to": None},
+    ]
+    WAL = (
+        '{"kind": "wal-header", "version": 1}\n'
+        '{"op": "spawn", "pid": 7, "shard": "s0"}\n'
+        '{"lid": "l0", "op": "lease", "seq": 0, "shard": "s0", "site": "a"}\n'
+        '{"lid": "l1", "op": "lease", "seq": 1, "shard": "s0", "site": "b"}\n'
+        '{"lid": "l0", "op": "release"}\n'
+        '{"degraded_to": null, "op": "settle", "reason": "", "seq": 0, '
+        '"status": "ok"}\n'
+    )
+    MEMO = (
+        '{"kind": "memo-header", "version": 1}\n'
+        '{"k": "k1", "kind": "estimate", "op": "put", "v": {"sim": '
+        '{"dram_bytes": 2.0, "flops": 1.0, "machine": "m", "phase_times": '
+        '[1.0], "threads": 1, "time_s": 1.5, "variant": "v"}}}\n'
+        '{"k": "k2", "kind": "estimate", "op": "put", "v": {"sim": '
+        '{"dram_bytes": 2.0, "flops": 1.0, "machine": "m", "phase_times": '
+        '[2.0], "threads": 1, "time_s": 2.5, "variant": "v"}}}\n'
+        '{"k": "k1", "op": "evict"}\n'
+        '{"k": "v1", "kind": "verify", "op": "put", "v": {"messages": '
+        '["msg"]}}\n'
+    )
+
+    @staticmethod
+    def result(i: int) -> SimResult:
+        return SimResult(
+            machine="m", variant="v", threads=1, time_s=i + 0.5,
+            flops=1.0, dram_bytes=2.0, phase_times=[float(i)],
+        )
+
+    def _write(self, tmp_path, name, text):
+        path = str(tmp_path / name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return path
+
+    def test_grid_journal_resumes(self, tmp_path):
+        path = self._write(tmp_path, "g.jsonl", self.GRID)
+        with GridJournal(path, resume=True) as j:
+            assert len(j) == 2 and j.skipped_records == 0
+            assert j.lookup("g0", 0, "k0") is None  # superseded by k0b
+            for i, key, r in ((0, "k0b", 2), (1, "k1", 1)):
+                got = j.lookup("g0", i, key)
+                assert sim_result_to_dict(got) == sim_result_to_dict(
+                    self.result(r)
+                )
+
+    def test_wal_resumes_and_writes_identical_bytes(self, tmp_path):
+        path = self._write(tmp_path, "w.wal", self.WAL)
+        with wal_log(path, resume=True) as w:
+            assert w.records == self.WAL_RECORDS
+        state = replay_wal_state(path)
+        assert set(state["open_leases"]) == {"l1"}
+        assert state["settled"] == {
+            "0": {"status": "ok", "reason": "", "degraded_to": None},
+        }
+        assert state["counts"]["skipped"] == 0
+        fresh = str(tmp_path / "fresh.wal")
+        with wal_log(fresh) as w:
+            for rec in self.WAL_RECORDS:
+                w.append(rec)
+        with open(fresh, encoding="utf-8") as fh:
+            assert fh.read() == self.WAL
+
+    def test_memo_resumes_and_writes_identical_bytes(self, tmp_path):
+        path = self._write(tmp_path, "m.jsonl", self.MEMO)
+        with MemoStore(path, resume=True) as m:
+            assert len(m) == 2 and m.skipped_records == 0
+            assert "k1" not in m and m.get("v1") == ["msg"]
+            assert sim_result_to_dict(m.get("k2")) == sim_result_to_dict(
+                self.result(2)
+            )
+        fresh = str(tmp_path / "fresh.jsonl")
+        with MemoStore(fresh, resume=False) as m:
+            m.put("k1", "estimate", self.result(1))
+            m.limit_bytes = int(m.current_bytes * 1.5)
+            m.put("k2", "estimate", self.result(2))  # evicts k1
+            m.put("v1", "verify", ["msg"])
+        with open(fresh, encoding="utf-8") as fh:
+            assert fh.read() == self.MEMO
 
 
 # ------------------------------------------------- process failure kinds

@@ -3,7 +3,7 @@
 Covers the canonical-key invariants (property-tested: dict insertion
 order, cross-type numeric equality, float edge cases), the
 ``MemoStore`` storage discipline (LRU byte budget, resume, torn tails,
-atomic rotation under concurrent readers/writers), and the service
+corrupt records), and the service
 integration: memo hits replay bitwise, duplicates coalesce behind one
 leader, leader failure promotes a waiter, and a coalesced waiter's
 deadline sheds exactly once — all with exact five-bucket accounting.
@@ -13,7 +13,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
@@ -25,8 +24,6 @@ from repro.machine.simulator import SimResult
 from repro.machine.spec import IVY_DESKTOP
 from repro.resilience.faults import FaultPlan, FaultSpec, inject_faults
 from repro.resilience.journal import (
-    GridJournal,
-    WALJournal,
     canonical_fragment,
     canonical_number,
     grid_hash,
@@ -308,38 +305,21 @@ class TestMemoStore:
         with open(path, encoding="utf-8") as fh:
             assert all(json.loads(ln) for ln in fh if ln.strip())
 
-    def test_rotate_compacts_and_keeps_serving(self, tmp_path):
+    def test_structurally_corrupt_records_are_skipped(self, tmp_path):
         path = str(tmp_path / "memo.jsonl")
         with MemoStore(path) as store:
-            for i in range(5):
-                store.put(f"k{i}", "estimate", sim(i))
-            entry_bytes = store.current_bytes // 5
-            store.limit_bytes = entry_bytes * 3 + 2  # keep three entries
-            store.put("k5", "estimate", sim(5))
-            lines_before = sum(1 for _ in open(path))
-            store.rotate()
-            lines_after = sum(1 for _ in open(path))
-            assert lines_after < lines_before
-            assert lines_after == len(store) + 1  # entries + header
-            assert not os.path.exists(path + ".rotate")
-            assert store.get("k5") is not None  # still serving post-rotate
-            store.put("k6", "estimate", sim(6))  # and still appending
-        with MemoStore(path, resume=True) as resumed:
-            assert resumed.get("k6") is not None
-
-    def test_rotate_merges_other_instances_entries(self, tmp_path):
-        path = str(tmp_path / "memo.jsonl")
-        s1 = MemoStore(path)
-        s2 = MemoStore(path, resume=True)
-        s1.put("from-s1", "estimate", sim(1))
-        s2.put("from-s2", "estimate", sim(2))
-        s1.rotate()  # must keep s2's record it never loaded
-        s2.put("after-rotate", "estimate", sim(3))  # epoch revalidation
-        s1.close()
-        s2.close()
-        with MemoStore(path, resume=True) as resumed:
-            for key in ("from-s1", "from-s2", "after-rotate"):
-                assert resumed.get(key) is not None, key
+            store.put("k1", "estimate", sim(1))
+        with open(path, "a", encoding="utf-8") as fh:
+            for rec in (
+                {"op": "evict", "k": ["a"]},  # unhashable key
+                {"op": "put", "k": "k2", "kind": "estimate", "v": {}},
+                {"op": "put", "k": "k3", "kind": "estimate", "v": [1]},
+                {"op": "purge", "k": "k1"},  # unknown op
+            ):
+                fh.write(json.dumps(rec) + "\n")
+        with MemoStore(path, resume=True) as resumed:  # TypeError pre-fix
+            assert resumed.skipped_records == 4
+            assert len(resumed) == 1 and resumed.get("k1") is not None
 
     def test_memo_bytes_probe_feeds_byte_budget(self):
         before = memo_bytes()
@@ -370,125 +350,6 @@ class TestMemoStore:
         ]
         gr[0] = None  # a partial grid must never replay as a hit
         assert encode_result("grid", gr) is None
-
-
-# ------------------------------------------------- rotation under concurrency
-class TestRotationReaderRace:
-    """rotate() vs concurrent readers/writers on one path (satellite 2)."""
-
-    def test_grid_journal_lookup_during_rotate(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        j = GridJournal(path)
-        for i in range(30):
-            j.record("g", i, f"k{i}", sim(i))
-        errors: list[str] = []
-        stop = threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                for i in range(30):
-                    r = j.lookup("g", i, f"k{i}")
-                    if r is None or r.time_s != float(i):
-                        errors.append(f"slot {i} read wrong during rotate")
-                        return
-
-        def rotator():
-            for _ in range(20):
-                j.rotate()
-
-        t_read = threading.Thread(target=reader)
-        t_rot = threading.Thread(target=rotator)
-        t_read.start()
-        t_rot.start()
-        t_rot.join()
-        stop.set()
-        t_read.join()
-        j.close()
-        assert not errors, errors
-        with GridJournal(path, resume=True) as resumed:
-            assert len(resumed) == 30
-
-    def test_grid_journal_cross_instance_writes_survive_rotate(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        j1 = GridJournal(path)
-        j2 = GridJournal(path, resume=True)
-        epoch_before = j2.epoch
-
-        def writer():
-            for i in range(120):
-                j2.record("g2", i, f"k{i}", sim(i))
-
-        def rotator():
-            for _ in range(15):
-                j1.rotate()
-                time.sleep(0.001)
-
-        t_w = threading.Thread(target=writer)
-        t_r = threading.Thread(target=rotator)
-        t_w.start()
-        t_r.start()
-        t_w.join()
-        t_r.join()
-        j2.record("g2", 120, "k120", sim(120))  # post-rotation append
-        assert j2.epoch > epoch_before  # revalidated against the swap
-        j1.rotate()  # final compaction folds every surviving append
-        j1.close()
-        j2.close()
-        with GridJournal(path, resume=True) as resumed:
-            for i in range(121):
-                r = resumed.lookup("g2", i, f"k{i}")
-                assert r is not None and r.time_s == float(i), f"lost {i}"
-
-    def test_wal_commits_during_rotate_never_lost(self, tmp_path):
-        path = str(tmp_path / "w.wal")
-        wal = WALJournal(path, fsync=False)
-
-        def writer():
-            for i in range(150):
-                wal.commit({"kind": "lease", "i": i})
-
-        def rotator():
-            for _ in range(15):
-                wal.rotate()
-                time.sleep(0.001)
-
-        t_w = threading.Thread(target=writer)
-        t_r = threading.Thread(target=rotator)
-        t_w.start()
-        t_r.start()
-        t_w.join()
-        t_r.join()
-        wal.close()
-        with WALJournal(path, resume=True, fsync=False) as resumed:
-            seen = {r["i"] for r in resumed.replay() if r.get("kind") == "lease"}
-        assert seen == set(range(150))
-
-    def test_memo_store_put_during_rotate_never_lost(self, tmp_path):
-        path = str(tmp_path / "memo.jsonl")
-        s1 = MemoStore(path)
-        s2 = MemoStore(path, resume=True)
-
-        def writer():
-            for i in range(100):
-                s2.put(f"w{i}", "estimate", sim(i))
-
-        def rotator():
-            for _ in range(15):
-                s1.rotate()
-                time.sleep(0.001)
-
-        t_w = threading.Thread(target=writer)
-        t_r = threading.Thread(target=rotator)
-        t_w.start()
-        t_r.start()
-        t_w.join()
-        t_r.join()
-        s1.rotate()
-        s1.close()
-        s2.close()
-        with MemoStore(path, resume=True) as resumed:
-            for i in range(100):
-                assert resumed.get(f"w{i}") is not None, f"lost w{i}"
 
 
 # ------------------------------------------------------- service integration

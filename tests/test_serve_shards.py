@@ -15,7 +15,7 @@ import pytest
 from repro.bench.runner import GridPoint
 from repro.machine.spec import IVY_DESKTOP
 from repro.resilience.faults import FaultPlan, inject_faults
-from repro.resilience.journal import WALJournal, sim_result_to_dict
+from repro.resilience.journal import AppendLog, sim_result_to_dict
 from repro.resilience.retry import (
     PROCESS_FAILURE_KINDS,
     DeadlineExceeded,
@@ -25,6 +25,8 @@ from repro.resilience.retry import (
 from repro.schedules import Variant
 from repro.serve import JobService, JobSpec
 from repro.serve.shards import (
+    WAL_FSYNC,
+    WAL_HEADER,
     LeaseUnavailable,
     ShardPool,
     replay_wal_state,
@@ -83,7 +85,8 @@ class TestShardPool:
     def test_kill_fault_raises_worker_lost_then_replacement_serves(
         self, tmp_path
     ):
-        wal = WALJournal(str(tmp_path / "pool.wal"))
+        wal_path = str(tmp_path / "pool.wal")
+        wal = AppendLog(wal_path, WAL_HEADER, fsync=WAL_FSYNC)
         with quiet(), ShardPool(
             shards=1, wal=wal, fault_params=kill_spec("job0"),
         ) as pool:
@@ -95,11 +98,11 @@ class TestShardPool:
             # site must not match the kill label.
             r = pool.run(0, point(), "simulate", site="retry")
             assert r is not None
-        state = replay_wal_state(wal.replay())
+        wal.close()
+        state = replay_wal_state(wal_path)
         assert not state["open_leases"]
         assert state["counts"]["orphans"] == 1
         assert state["counts"]["releases"] == 1
-        wal.close()
 
     def test_worker_lost_classifies_as_process_failure(self):
         from repro.resilience.retry import classify_failure
@@ -175,24 +178,59 @@ class TestWalReplay:
         path = str(tmp_path / "crash.wal")
         # A "supervisor" leases two jobs and crashes (no release): the
         # WAL simply ends.  fsync-on-commit means both leases survive.
-        wal = WALJournal(path)
-        wal.commit({"op": "spawn", "shard": "s0", "pid": 1})
-        wal.commit(
+        wal = AppendLog(path, WAL_HEADER, fsync=WAL_FSYNC)
+        wal.append({"op": "spawn", "shard": "s0", "pid": 1})
+        wal.append(
             {"op": "lease", "lid": "l0", "seq": 0, "shard": "s0", "site": "a"}
         )
-        wal.commit(
+        wal.append(
             {"op": "lease", "lid": "l1", "seq": 1, "shard": "s0", "site": "b"}
         )
         wal.close()
         # The restarted supervisor opens the pool over the same log.
-        resumed = WALJournal(path, resume=True)
+        resumed = AppendLog(path, WAL_HEADER, resume=True, fsync=WAL_FSYNC)
         with quiet(), ShardPool(shards=1, wal=resumed) as pool:
             assert {r["lid"] for r in pool.recovered_leases} == {"l0", "l1"}
             assert pool.wal_recoveries_total == 2
-            state = replay_wal_state(resumed.replay())
+            state = replay_wal_state(path)
             assert not state["open_leases"]
             assert state["counts"]["recovered"] == 2
         resumed.close()
+
+    def test_replaying_a_path_never_writes_it(self, tmp_path):
+        missing = tmp_path / "missing.wal"
+        with pytest.raises(FileNotFoundError):
+            replay_wal_state(str(missing))
+        assert not missing.exists()  # pre-fix: created with a header
+        path = str(tmp_path / "torn.wal")
+        with AppendLog(path, WAL_HEADER, fsync=WAL_FSYNC) as wal:
+            wal.append({"op": "lease", "lid": "l0", "seq": 0})
+        with open(path, "ab") as fh:
+            fh.write(b'{"op": "rele')  # a live writer mid-append
+        with open(path, "rb") as fh:
+            before = fh.read()
+        state = replay_wal_state(path)
+        assert set(state["open_leases"]) == {"l0"}
+        with open(path, "rb") as fh:
+            assert fh.read() == before  # pre-fix: torn tail truncated
+
+    def test_structurally_corrupt_records_are_skipped_and_counted(self):
+        records = [
+            {"op": "lease", "seq": 0, "shard": "s0"},  # no lid
+            {"op": "lease", "lid": ["l0"], "seq": 0},  # unhashable lid
+            {"op": "release"},
+            {"op": "recover", "lids": [["l9"]]},
+            {"op": "settle", "status": "ok"},  # no seq
+            {"op": "spawn", "pid": 3},  # no shard
+            {"op": ["lease"], "lid": "l0"},  # unhashable op
+            {"op": "compact"},  # unknown op
+            {"lid": "l1"},  # no op at all
+            {"op": "lease", "lid": "l1", "seq": 1, "shard": "s0"},
+        ]
+        state = replay_wal_state(records)  # KeyError pre-fix
+        assert state["counts"]["skipped"] == 9
+        assert state["counts"]["leases"] == 1
+        assert set(state["open_leases"]) == {"l1"}
 
     def test_replay_reconstructs_settle_state(self, tmp_path):
         wal_path = str(tmp_path / "svc.wal")
