@@ -220,7 +220,7 @@ def _serve_overhead() -> dict:
 
     The adaptive measurement re-serves the same batch with the full
     overload-control loop armed — AIMD limiter, latency tracking, retry
-    budgets, hedging — but *idle* (an unreachable SLO, no faults, no
+    budgets — but *idle* (an unreachable SLO, no faults, no
     stragglers).  An idle limiter is pure bookkeeping per job: it must
     fit the same thin-front envelope as the plain served path (5% +
     10 ms), so turning adaptive control on costs nothing until it has
@@ -246,7 +246,7 @@ def _serve_overhead() -> dict:
     with JobService(workers=2, queue_limit=64) as svc:
         served_s = best_of(lambda: serve_grid(points, svc, batch=True))
     adaptive = AdaptiveConfig(
-        slo_ms=3_600_000.0, retry_budget_ratio=0.5, hedge=True,
+        slo_ms=3_600_000.0, retry_budget_ratio=0.5,
     )
     with JobService(
         workers=2, queue_limit=64, adaptive=adaptive,
@@ -267,10 +267,9 @@ def _serve_overhead() -> dict:
         "served_adaptive_s": round(served_adaptive_s, 6),
         "adaptive_overhead_ratio": round(served_adaptive_s / direct_s, 4),
         # The loop must have been armed yet idle: no backoffs, no
-        # hedges, no budget spends — the measured tax is bookkeeping.
+        # budget spends — the measured tax is bookkeeping.
         "adaptive_idle": (
             adaptive_stats["limiter"]["backoffs"] == 0
-            and adaptive_stats["hedges"]["launched"] == 0
             and all(
                 b["spent"] == 0
                 for b in adaptive_stats["retry_budgets"].values()
@@ -485,8 +484,8 @@ def test_harness_overhead():
     assert serve["served_batch_s"] <= (
         serve["direct_run_grid_s"] * 1.05 + 0.010
     ), serve
-    # An armed-but-idle adaptive loop (limiter + budgets + hedging with
-    # nothing to do) pays the same thin-front bar as the plain path.
+    # An armed-but-idle adaptive loop (limiter + budgets with nothing
+    # to do) pays the same thin-front bar as the plain path.
     assert serve["served_adaptive_s"] <= (
         serve["direct_run_grid_s"] * 1.05 + 0.010
     ), serve

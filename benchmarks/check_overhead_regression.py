@@ -92,8 +92,8 @@ def check_serve(
             f"tolerance {tolerance:.0%} + {grace_s * 1e3:.0f} ms grace)"
         )
     # Armed-but-idle adaptive overload control (limiter + latency
-    # tracking + retry budgets + hedging with nothing to do) pays the
-    # same thin-front envelope: its per-job cost is pure bookkeeping.
+    # tracking + retry budgets with nothing to do) pays the same
+    # thin-front envelope: its per-job cost is pure bookkeeping.
     adaptive = serve.get("served_adaptive_s")
     if adaptive is not None:
         if adaptive > limit:
@@ -105,8 +105,8 @@ def check_serve(
             )
         if serve.get("adaptive_idle") is False:
             problems.append(
-                "adaptive-idle leg was not idle: the loop backed off, "
-                "hedged, or spent budget during the overhead measurement"
+                "adaptive-idle leg was not idle: the loop backed off "
+                "or spent budget during the overhead measurement"
             )
     # Process shards: per-point pipe round-trips through two child
     # processes, gated at 10% + 20 ms — wider than the thread bar

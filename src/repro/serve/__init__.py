@@ -22,8 +22,8 @@ closed* under load instead of degrading unpredictably:
   the service's single-flight request coalescing;
 * :mod:`repro.serve.adaptive` — adaptive overload control
   (``adaptive=...``): the AIMD concurrency limiter driven by per-kind
-  latency SLOs, retry budgets bounding attempt amplification, hedged
-  requests for stragglers, and deadline-aware brownout shedding;
+  latency SLOs, retry budgets bounding attempt amplification, and
+  deadline-aware brownout shedding;
 * :mod:`repro.serve.chaos` — the seeded invariant-checked soak
   (``python -m repro.serve.chaos``; ``--shards --kill-rate`` arms
   process chaos, ``--duplicate-rate --memo`` arms the coalescing mix,

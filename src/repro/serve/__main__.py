@@ -98,11 +98,6 @@ def main(argv: list[str] | None = None) -> int:
              "(implies --adaptive; bounds attempts at 1 + ratio)",
     )
     parser.add_argument(
-        "--hedge", action="store_true",
-        help="hedge stragglers past the observed p95 service time "
-             "(implies --adaptive)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="print the stats dict as JSON"
     )
     args = parser.parse_args(argv)
@@ -119,13 +114,16 @@ def main(argv: list[str] | None = None) -> int:
 
     adaptive = None
     if (
-        args.adaptive or args.hedge or args.slo_ms is not None
+        args.adaptive or args.slo_ms is not None
         or args.retry_budget is not None
     ):
-        kw = {"hedge": args.hedge, "retry_budget_ratio": args.retry_budget}
+        kw = {"retry_budget_ratio": args.retry_budget}
         if args.slo_ms is not None:
             kw["slo_ms"] = args.slo_ms
-        adaptive = AdaptiveConfig(**kw)
+        try:
+            adaptive = AdaptiveConfig(**kw)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     plan = None
     if args.chaos_seed is not None:
@@ -225,12 +223,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"probes={lim['probes']} backoffs={lim['backoffs']} "
                 f"last_rtt_ms={lim['last_rtt_ms']}"
             )
-        hg = ad.get("hedges") or {}
-        if hg.get("launched") or hg.get("denied"):
-            print(
-                f"  hedges: launched={hg['launched']} won={hg['won']} "
-                f"lost={hg['lost']} denied={hg['denied']}"
-            )
         for scope, rb in sorted((ad.get("retry_budgets") or {}).items()):
             print(
                 f"  retry budget {scope}: tokens={rb['tokens']:.1f} "
@@ -239,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         print(
             f"  attempts: total={ad['attempts']} "
-            f"first={ad['attempt_units']} hedge={ad['hedge_attempts']} "
+            f"first={ad['attempt_units']} "
             f"amplification_ok={ad['amplification_ok']}"
         )
     if stats.get("shards"):

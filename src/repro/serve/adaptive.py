@@ -7,9 +7,8 @@ loop the ROADMAP's "as fast as the hardware allows" goal requires — the
 run-time analogue of choosing a tiling plan from *measured* conditions
 rather than a static enumeration:
 
-* :class:`LatencyTracker` — per-job-kind service-time statistics (EWMA
-  and a windowed p95) fed by every completed execution.  Everything
-  below keys off these observations.
+* :class:`LatencyTracker` — a per-job-kind EWMA of service time fed by
+  every completed execution; brownout admission reads it.
 * :class:`AdaptiveLimiter` — an AIMD concurrency limiter sitting
   between the bounded queue and the workers.  Completions under the
   latency SLO while the limiter is saturated probe the limit up
@@ -21,7 +20,7 @@ rather than a static enumeration:
   through the ``on_change`` hook.
 * :class:`RetryBudget` — a token bucket per ``(machine, engine)``
   scope consulted by the retry path.  Each *first* attempt deposits
-  ``ratio`` tokens; each retry (and each hedge launch) spends one.
+  ``ratio`` tokens; each retry spends one.
   Global attempt amplification is therefore provably bounded::
 
       attempts == units + spends <= units * (1 + ratio)
@@ -36,10 +35,7 @@ rather than a static enumeration:
   :class:`~repro.serve.service.JobService` accepts (``adaptive=...``),
   also covering deadline-aware **brownout** shedding (refuse at
   admission any job whose deadline cannot cover the observed service
-  time for its kind) and **hedged requests** (after the observed p95, a
-  straggler's flight launches one speculative duplicate through the
-  single-flight table; first completion wins, the loser is cancelled
-  cooperatively and accounted ``hedge_lost``).
+  time for its kind).
 
 See ``docs/resilience.md`` ("Adaptive overload control") for the state
 machine and the retry-budget math.
@@ -47,9 +43,9 @@ machine and the retry-budget math.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -84,19 +80,12 @@ class AdaptiveConfig:
     cooldown_s: float = 0.05
     #: EWMA smoothing for the per-kind service-time estimate.
     ewma_alpha: float = 0.2
-    #: Ring size for the windowed p95.
-    window: int = 64
     #: Observations of a kind required before its estimate is trusted.
     min_samples: int = 5
     #: Deadline-aware brownout: shed at admission when the deadline
     #: cannot cover ``brownout_factor *`` the observed service time.
     brownout: bool = True
     brownout_factor: float = 1.0
-    #: Launch one hedge per flight once the leader has been executing
-    #: longer than ``hedge_factor * p95`` of its kind.
-    hedge: bool = False
-    hedge_factor: float = 1.0
-    hedge_min_samples: int = 8
     #: Retry-budget token ratio; ``None`` disables retry budgets.
     retry_budget_ratio: float | None = None
     #: Token-bucket cap (banked headroom never exceeds this).
@@ -105,6 +94,13 @@ class AdaptiveConfig:
     retry_budget_initial: float = 0.0
 
     def __post_init__(self):
+        slos = {"slo_ms": self.slo_ms}
+        slos.update(
+            (f"slo_by_kind[{k!r}]", v) for k, v in self.slo_by_kind.items()
+        )
+        for name, slo in slos.items():
+            if not (math.isfinite(slo) and slo > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {slo!r}")
         if self.min_limit < 1:
             raise ValueError("min_limit must be >= 1")
         if self.max_limit is not None and self.max_limit < self.min_limit:
@@ -122,47 +118,32 @@ class AdaptiveConfig:
 
 
 class LatencyTracker:
-    """Per-kind service-time statistics: EWMA mean and windowed p95.
+    """Per-kind service-time EWMA.
 
     Fed by the service with every non-cached ``ok``/``degraded``
-    execution; read by brownout admission (EWMA: "can this deadline
-    cover a typical execution?") and by the hedging sweep (p95: "is
-    this leader a straggler?").  Estimates are ``None`` until
+    execution; read by brownout admission ("can this deadline cover a
+    typical execution?").  The estimate is ``None`` until
     ``min_samples`` observations of the kind exist, so a cold service
-    neither browns out nor hedges on noise.
+    never browns out on noise.
     """
 
-    def __init__(
-        self, window: int = 64, alpha: float = 0.2, min_samples: int = 5
-    ):
-        if window < 4:
-            raise ValueError("window must be >= 4")
+    def __init__(self, alpha: float = 0.2, min_samples: int = 5):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        self.window = int(window)
         self.alpha = float(alpha)
         self.min_samples = max(1, int(min_samples))
         self._lock = threading.Lock()
-        self._rings: dict[str, deque] = {}
         self._ewma: dict[str, float] = {}
         self._counts: dict[str, int] = {}
 
     def observe(self, kind: str, seconds: float) -> None:
         s = float(seconds)
         with self._lock:
-            ring = self._rings.get(kind)
-            if ring is None:
-                ring = self._rings[kind] = deque(maxlen=self.window)
-            ring.append(s)
             prev = self._ewma.get(kind)
             self._ewma[kind] = (
                 s if prev is None else prev + self.alpha * (s - prev)
             )
             self._counts[kind] = self._counts.get(kind, 0) + 1
-
-    def samples(self, kind: str) -> int:
-        with self._lock:
-            return self._counts.get(kind, 0)
 
     def ewma_s(self, kind: str) -> float | None:
         """Smoothed typical service time, or ``None`` below min_samples."""
@@ -170,15 +151,6 @@ class LatencyTracker:
             if self._counts.get(kind, 0) < self.min_samples:
                 return None
             return self._ewma[kind]
-
-    def p95_s(self, kind: str) -> float | None:
-        """Windowed 95th-percentile service time (``None`` when cold)."""
-        with self._lock:
-            if self._counts.get(kind, 0) < self.min_samples:
-                return None
-            ring = sorted(self._rings[kind])
-        # Nearest-rank p95 over the window (ring is never empty here).
-        return ring[min(len(ring) - 1, int(0.95 * len(ring)))]
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -347,11 +319,10 @@ class AdaptiveLimiter:
 
 
 class RetryBudget:
-    """Token bucket bounding retry (and hedge) amplification for one scope.
+    """Token bucket bounding retry amplification for one scope.
 
     ``deposit()`` banks ``ratio`` tokens per first attempt (capped);
-    ``try_spend()`` withdraws one whole token per speculative attempt —
-    a retry or a hedge launch.  Because spends never exceed deposits
+    ``try_spend()`` withdraws one whole token per retry.  Because spends never exceed deposits
     (plus the non-positive-by-default ``initial``), total attempts are
     bounded by ``units * (1 + ratio)``; :meth:`amplification_bound_ok`
     checks exactly that from the bucket's own lifetime counters.

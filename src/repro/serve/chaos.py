@@ -53,7 +53,7 @@ adaptive control loop (:mod:`repro.serve.adaptive`): measure the
 service's clean capacity, then offer 2x that rate while a mid-stream
 storm injects latency (stalls past the SLO), synchronized retry
 streaks (every victim retries at once, draining the retry budget), and
-— with ``--shards`` — slow-shard stalls inside child processes.  Four
+— with ``--shards`` — slow-shard stalls inside child processes.  Three
 more invariants:
 
 10. **goodput floor** — jobs settled ``ok``/``degraded``/``coalesced``
@@ -62,12 +62,9 @@ more invariants:
     sustains instead of collapsing;
 11. **amplification bound** — total execution attempts <= first
     attempts x (1 + retry budget ratio): the token bucket provably
-    caps retry/hedge amplification even mid-storm;
+    caps retry amplification even mid-storm;
 12. **limiter recovery** — after the storm passes, probe traffic
-    re-opens the AIMD limit to >= 90% of its pre-storm value;
-13. **hedge ledger closed** — every launched hedge is accounted won
-    or lost (never double-settled), and ``max_live_per_key <= 2``
-    (leader + at most one hedge).
+    re-opens the AIMD limit to >= 90% of its pre-storm value.
 
 Everything is a pure function of ``--seed``: the job stream, the fault
 schedule, the kill schedule, the pressure window, and therefore the
@@ -516,7 +513,7 @@ def run_overload_soak(
     storm_stall_s: float = 0.08,
     shards: int = 0,
 ) -> SoakReport:
-    """Overload soak: 2x offered load, a seeded storm, four invariants.
+    """Overload soak: 2x offered load, a seeded storm, three invariants.
 
     Three phases against one adaptive service:
 
@@ -529,15 +526,15 @@ def run_overload_soak(
        streaks* (two raises, so every victim retries at once and
        drains the retry budget) on odd victims; with ``shards > 0``
        the stalls land inside shard child processes instead — the
-       slow-shard story.  The excess load must shed at admission, the
-       limiter must back off, hedges race the stalled stragglers;
+       slow-shard story.  The excess load must shed at admission and
+       the limiter must back off;
     3. **Recover** — clean probe traffic until the AIMD limit climbs
        back to ``recovery_floor`` of its pre-storm value (bounded
        rounds, so a wedged limiter fails the invariant rather than
        hanging the soak).
 
-    Evaluates invariants 10-13 (goodput floor, amplification bound,
-    limiter recovery, hedge ledger) on top of the core four.
+    Evaluates invariants 10-12 (goodput floor, amplification bound,
+    limiter recovery) on top of the core invariants.
     """
     # The capacity measurement must be hermetic: an earlier run in this
     # process may have memoized these exact phase costs, which would
@@ -571,13 +568,11 @@ def run_overload_soak(
     cfg = AdaptiveConfig(
         slo_ms=slo_ms,
         retry_budget_ratio=retry_budget_ratio,
-        hedge=True,
-        hedge_factor=2.0,
-        hedge_min_samples=8,
         min_samples=5,
         cooldown_s=0.05,
-        # Floor of 2: one slot can always race a stalled straggler, so
-        # a storm cannot wedge the hedging path shut.
+        # Floor of 2: a stalled storm victim never holds the only
+        # slot.  At a floor of 1 the limit can enter the storm at one
+        # slot, and goodput then sits near the 70% floor.
         min_limit=2,
     )
     service = JobService(
@@ -735,22 +730,6 @@ def run_overload_soak(
             f"{recovery_floor:.0%} of pre-storm {pre_storm_limit} "
             f"after {recovery_rounds} recovery rounds"
         )
-
-    # 13. Hedge ledger closed + bounded single-flight under hedging.
-    hedges = ad.get("hedges", {})
-    ledger_ok = (
-        hedges.get("launched", 0)
-        == hedges.get("won", 0) + hedges.get("lost", 0)
-    )
-    max_live = stats["coalesce"]["max_live_per_key"]
-    report.invariants["hedge_ledger_closed"] = ledger_ok and max_live <= 2
-    if not ledger_ok:
-        report.violations.append(f"hedge ledger does not close: {hedges}")
-    if max_live > 2:
-        report.violations.append(
-            f"hedging broke the single-flight bound: "
-            f"max_live_per_key={max_live} > 2"
-        )
     return report
 
 
@@ -788,8 +767,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--overload", action="store_true",
         help="run the adaptive overload soak instead of the fault soak "
-             "(arms invariants 10-13: goodput floor, amplification "
-             "bound, limiter recovery, hedge ledger)",
+             "(arms invariants 10-12: goodput floor, amplification "
+             "bound, limiter recovery)",
     )
     parser.add_argument(
         "--slo-ms", type=float, default=60.0,
@@ -847,7 +826,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"  limiter: pre_storm={ov['pre_storm_limit']} "
             f"recovered={ov['recovered_limit']} "
-            f"rounds={ov['recovery_rounds']}  hedges={ad.get('hedges')}  "
+            f"rounds={ov['recovery_rounds']}  "
             f"attempts={ad.get('attempts')}/{ad.get('attempt_units')} units"
         )
         for name, held in report.invariants.items():

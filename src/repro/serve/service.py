@@ -51,18 +51,13 @@ that *fails closed* under load (see ``docs/resilience.md``):
   concurrency limiter between the queue and the workers driven by
   observed service time vs. per-kind latency SLOs, per-(machine,
   engine) retry budgets bounding attempt amplification at
-  ``units * (1 + ratio)``, hedged requests for stragglers past the
-  observed p95 (through the single-flight table, settle-once
-  preserved), and deadline-aware brownout shedding at admission.  See
-  :mod:`repro.serve.adaptive`.
+  ``units * (1 + ratio)``, and deadline-aware brownout shedding at
+  admission.  See :mod:`repro.serve.adaptive`.
 
 Accounting is exact and is the chaos soak's core invariant: every
 submitted job settles exactly once as accepted, shed, degraded,
 failed, or coalesced —
 ``accepted + shed + degraded + failed + coalesced == submitted``.
-Hedge tickets are internal and never enter the buckets; their own
-ledger closes exactly too: ``hedges_launched == hedges_won +
-hedges_lost`` once the service drains.
 """
 
 from __future__ import annotations
@@ -190,11 +185,6 @@ class JobTicket:
         #: Canonical content hash, stamped at dequeue (None until then,
         #: and stays None for payloads with no canonical encoding).
         self.memo_key: str | None = None
-        #: Set on internal hedge tickets: the submitted ticket this
-        #: speculative duplicate races.  Hedge tickets never enter the
-        #: accounting buckets — their outcome settles the primary (or
-        #: is discarded as ``hedge_lost``).
-        self.hedge_of: "JobTicket | None" = None
         self._settled = threading.Event()
         self._lock = threading.Lock()
         self._outcome: JobOutcome | None = None
@@ -246,23 +236,13 @@ class _Flight:
     1``) measures.
     """
 
-    __slots__ = (
-        "key", "leader", "waiters", "executing", "exec_started_at",
-        "hedge", "hedged",
-    )
+    __slots__ = ("key", "leader", "waiters", "executing")
 
     def __init__(self, key: str, leader: "JobTicket"):
         self.key = key
         self.leader = leader
         self.waiters: list[JobTicket] = []
         self.executing = False
-        #: Service-clock time the leader's execution started (the
-        #: hedging sweep compares this against the kind's p95).
-        self.exec_started_at: float | None = None
-        #: The live hedge ticket, if one was launched for this flight.
-        self.hedge: "JobTicket | None" = None
-        #: True once a hedge has ever been launched — one per flight.
-        self.hedged = False
 
 
 class _Worker:
@@ -349,8 +329,8 @@ class JobService:
         self._clock = clock if clock is not None else time.monotonic
         # Adaptive overload control: AIMD concurrency limiting between
         # the queue and the workers, per-kind latency tracking feeding
-        # brownout admission + hedging, and per-(machine, engine) retry
-        # budgets bounding attempt amplification.
+        # brownout admission, and per-(machine, engine) retry budgets
+        # bounding attempt amplification.
         if adaptive is True:
             adaptive = AdaptiveConfig()
         elif adaptive is False:
@@ -361,8 +341,7 @@ class JobService:
         self._retry_budgets: dict[str, RetryBudget] = {}
         if adaptive is not None:
             self._latency = LatencyTracker(
-                window=adaptive.window, alpha=adaptive.ewma_alpha,
-                min_samples=adaptive.min_samples,
+                alpha=adaptive.ewma_alpha, min_samples=adaptive.min_samples,
             )
             if adaptive.limiter:
                 self._limiter = AdaptiveLimiter(
@@ -377,12 +356,9 @@ class JobService:
         self._evict_to_admit = bool(evict_to_admit)
         #: Execution-attempt accounting (the amplification invariant):
         #: ``attempts`` counts every engine attempt, ``attempt_units``
-        #: first attempts of submitted (non-hedge) work units,
-        #: ``hedge_attempts`` speculative hedge executions.
+        #: first attempts of submitted work units.
         self.attempts = 0
         self.attempt_units = 0
-        self.hedge_attempts = 0
-        self.hedges = {"launched": 0, "won": 0, "lost": 0, "denied": 0}
         self._flights: dict[str, _Flight] = {}
         self._live_keys: dict[str, int] = {}
         self.max_live_per_key = 0
@@ -564,11 +540,6 @@ class JobService:
 
     # ------------------------------------------------------------- accounting
     def _settle(self, ticket: JobTicket, outcome: JobOutcome) -> bool:
-        if ticket.hedge_of is not None:
-            # Hedge tickets are internal: their outcome settles the
-            # primary (or is discarded) — they never touch the
-            # accounting buckets or the WAL.
-            return self._finalize_hedge(ticket, outcome)
         if not ticket._settle(outcome):
             return False
         with self._lock:
@@ -653,9 +624,6 @@ class JobService:
                 self._active.pop(worker.name, None)
 
     def _run_job(self, job: JobTicket, worker: _Worker) -> None:
-        if job.hedge_of is not None:
-            self._run_hedge(job)
-            return
         start = time.perf_counter()
         if job.deadline_at is not None and self._clock() >= job.deadline_at:
             self._shed(job, "deadline", "expired before execution")
@@ -749,7 +717,6 @@ class JobService:
                 flight.waiters.append(job)
                 return False
             flight.executing = True
-            flight.exec_started_at = self._clock()
             live = self._live_keys.get(key, 0) + 1
             self._live_keys[key] = live
             if live > self.max_live_per_key:
@@ -851,18 +818,11 @@ class JobService:
             self._flights.clear()
             self._live_keys.clear()
         for flight in flights:
-            hedge = flight.hedge
-            if hedge is not None and not hedge.done():
-                self._finalize_hedge(hedge, JobOutcome(
-                    "shed",
-                    value=Rejected("shutdown", "flight abandoned at shutdown"),
-                    reason="shutdown",
-                ))
             for w in (flight.leader, *flight.waiters):
                 if not w.done():
                     self._shed(w, "shutdown", "flight abandoned at shutdown")
 
-    # --------------------------------------------------- adaptive + hedging
+    # ---------------------------------------------------------------- adaptive
     def _on_limit_change(self, limit: float) -> None:
         self._registry.gauge_set("serve.adaptive.limit", float(limit))
         _trace.add_event("serve.adaptive.limit", limit=round(limit, 3))
@@ -888,30 +848,27 @@ class JobService:
         """Count one engine attempt (the amplification invariant's input)."""
         with self._lock:
             self.attempts += 1
-            if job.hedge_of is not None:
-                self.hedge_attempts += 1
-            elif attempt_no == 0:
+            if attempt_no == 0:
                 self.attempt_units += 1
         self._registry.counter_inc("serve.attempts")
 
     def _check_superseded(self, job: JobTicket) -> None:
-        """Cooperative hedge cancellation, at every attempt boundary.
+        """Cooperative cancellation, at every attempt boundary.
 
-        Whichever of (primary, hedge) settles first wins; the raced
-        execution still holding a worker aborts here rather than
-        burning its remaining attempts on a result nobody will read
-        (the settle-once ticket guard already makes a late result
-        harmless — this just returns the capacity sooner).
+        A job the supervisor already settled (abandoned as hung, or
+        shed at shutdown) aborts here rather than burning its remaining
+        attempts on a result nobody will read (the settle-once ticket
+        guard already makes a late result harmless — this just returns
+        the capacity sooner).
         """
-        primary = job.hedge_of or job
-        if primary.done():
-            raise _ShedJob("superseded", "raced execution already settled")
+        if job.done():
+            raise _ShedJob("superseded", "ticket already settled")
 
     def amplification_ok(self) -> bool:
         """The retry-amplification bound, from the service's own counters.
 
         ``attempts <= first_attempt_units * (1 + ratio) + initial``:
-        every non-first attempt — a retry or a hedge — spent one token,
+        every non-first attempt (a retry) spent one token,
         and tokens are only minted at ``ratio`` per first attempt (plus
         any configured starting balance per scope).  Trivially true
         when retry budgets are off.
@@ -926,171 +883,6 @@ class JobService:
         bound = units * (1.0 + cfg.retry_budget_ratio)
         bound += max(cfg.retry_budget_initial, 0.0) * scopes
         return attempts <= bound + 1e-9
-
-    def _launch_hedges(self) -> None:
-        """Supervisor tick: hedge stragglers past their kind's p95.
-
-        A flight whose leader has been executing longer than
-        ``hedge_factor * p95(kind)`` launches at most one speculative
-        duplicate through the same single-flight table (so
-        ``max_live_per_key`` is bounded by 2: leader + hedge).  The
-        launch spends a retry-budget token — hedges are speculative
-        *attempts* and count against the same amplification bound as
-        retries.  First completion wins; the loser cancels
-        cooperatively and is accounted ``hedge_lost``.
-        """
-        cfg = self._adaptive
-        if cfg is None or not cfg.hedge or self._latency is None:
-            return
-        now = self._clock()
-        launches: list[JobTicket] = []
-        with self._lock:
-            for flight in self._flights.values():
-                primary = flight.leader
-                if (
-                    not flight.executing
-                    or flight.hedged
-                    or primary.done()
-                    or flight.exec_started_at is None
-                    or primary.spec.kind not in ("estimate", "simulate")
-                ):
-                    continue
-                kind = primary.spec.kind
-                if self._latency.samples(kind) < cfg.hedge_min_samples:
-                    continue
-                p95 = self._latency.p95_s(kind)
-                if p95 is None or now - flight.exec_started_at <= (
-                    cfg.hedge_factor * p95
-                ):
-                    continue
-                flight.hedged = True
-                hedge = JobTicket(
-                    next(self._seq), primary.spec, primary.deadline_at
-                )
-                hedge.label = f"{primary.label}~hedge"
-                hedge.hedge_of = primary
-                hedge.memo_key = primary.memo_key
-                flight.hedge = hedge
-                launches.append(hedge)
-        for hedge in launches:
-            primary = hedge.hedge_of
-            point = primary.spec.payload
-            machine = getattr(
-                getattr(point, "machine", None), "name", "serve"
-            )
-            budget = self._retry_budget(machine, primary.spec.kind)
-            denied = budget is not None and not budget.try_spend()
-            admitted = False
-            if not denied:
-                # Priority +1: a hedge that queues behind the very
-                # backlog that made its primary a straggler is useless.
-                admitted = self._queue.offer(
-                    hedge, priority=primary.spec.priority + 1
-                )
-            if not admitted:
-                with self._lock:
-                    self.hedges["denied"] += 1
-                    flight = self._flights.get(hedge.memo_key or "")
-                    if flight is not None and flight.hedge is hedge:
-                        flight.hedge = None
-                self._registry.counter_inc("serve.hedge.denied")
-                _trace.add_event(
-                    "serve.hedge_denied", seq=primary.seq,
-                    label=primary.label,
-                    reason="budget" if denied else "queue_full",
-                )
-                continue
-            with self._lock:
-                self.hedges["launched"] += 1
-            self._registry.counter_inc("serve.hedge.launched")
-            _trace.add_event(
-                "serve.hedge_launched", seq=primary.seq, hedge_seq=hedge.seq,
-                label=primary.label,
-            )
-
-    def _run_hedge(self, job: JobTicket) -> None:
-        """Execute one dequeued hedge ticket (never enters accounting)."""
-        primary = job.hedge_of
-        assert primary is not None
-        start = time.perf_counter()
-        if primary.done():
-            self._finalize_hedge(job, JobOutcome(
-                "shed",
-                value=Rejected("superseded", "primary settled first"),
-                reason="superseded",
-            ))
-            return
-        key = job.memo_key
-        if key is not None:
-            with self._lock:
-                live = self._live_keys.get(key, 0) + 1
-                self._live_keys[key] = live
-                if live > self.max_live_per_key:
-                    self.max_live_per_key = live
-        try:
-            try:
-                with _trace.span(
-                    "serve.hedge", kind=job.spec.kind, label=job.label,
-                    seq=job.seq, primary=primary.seq,
-                ):
-                    outcome = self._execute(job)
-            except _ShedJob as sj:
-                outcome = JobOutcome(
-                    "shed", value=Rejected(sj.reason, sj.detail),
-                    reason=sj.reason,
-                )
-            except Exception as exc:  # noqa: BLE001 - nothing escapes a worker
-                kind = classify_failure(exc)
-                outcome = JobOutcome(
-                    "failed", reason=kind,
-                    failures=[TaskFailure(
-                        scope="serve", index=job.seq, label=job.label,
-                        kind=kind, error=repr(exc),
-                    )],
-                )
-        finally:
-            if key is not None:
-                with self._lock:
-                    live = self._live_keys.get(key, 1) - 1
-                    if live <= 0:
-                        self._live_keys.pop(key, None)
-                    else:
-                        self._live_keys[key] = live
-        outcome.elapsed_s = time.perf_counter() - start
-        self._settle(job, outcome)  # routes to _finalize_hedge
-        self._observe_outcome(job, outcome)
-
-    def _finalize_hedge(self, hedge: JobTicket, outcome: JobOutcome) -> bool:
-        """Settle one hedge ticket: win the primary's race or lose quietly.
-
-        The hedge's own ticket settles exactly once (so a worker
-        abandonment and the execution's own settle cannot double-count);
-        a winning outcome settles the *primary* through the normal
-        choke point — accounting, WAL, memo write-through, and waiter
-        fan-out all behave as if the primary had produced it.
-        """
-        if not hedge._settle(outcome):
-            return False
-        primary = hedge.hedge_of
-        assert primary is not None
-        key = hedge.memo_key
-        with self._lock:
-            flight = self._flights.get(key) if key is not None else None
-            if flight is not None and flight.hedge is hedge:
-                flight.hedge = None
-        won = False
-        if outcome.status in ("ok", "degraded"):
-            won = self._settle(primary, outcome)
-        with self._lock:
-            self.hedges["won" if won else "lost"] += 1
-        self._registry.counter_inc(
-            "serve.hedge.won" if won else "serve.hedge.lost"
-        )
-        _trace.add_event(
-            "serve.hedge_settled", seq=primary.seq, hedge_seq=hedge.seq,
-            label=primary.label, won=won, status=outcome.status,
-        )
-        return won
 
     # -------------------------------------------------------------- execution
     def _execute(self, job: JobTicket) -> JobOutcome:
@@ -1175,10 +967,6 @@ class JobService:
         point = _as_point(job.spec.payload)
         requested = job.spec.kind
         ladder = ("simulate", "estimate") if requested == "simulate" else ("estimate",)
-        if job.hedge_of is not None:
-            # A hedge is speculative capacity: it races the primary on
-            # the requested rung only and never walks the ladder.
-            ladder = (requested,)
         failures: list[TaskFailure] = []
         for eng in ladder:
             br = self.breaker(point.machine.name, eng)
@@ -1190,13 +978,7 @@ class JobService:
                 continue
             site = f"{job.label}|{eng}"
             attempt_counter = itertools.count()
-            if job.hedge_of is not None:
-                # The hedge's launch already spent a budget token; it
-                # gets exactly one attempt and no further budget.
-                policy, budget = replace(self.retry_policy, max_attempts=1), None
-            else:
-                policy = self.retry_policy
-                budget = self._retry_budget(point.machine.name, eng)
+            budget = self._retry_budget(point.machine.name, eng)
 
             def attempt() -> SimResult:
                 attempt_no = next(attempt_counter)
@@ -1225,7 +1007,7 @@ class JobService:
 
             try:
                 r, retried = call_with_retry(
-                    attempt, policy, scope="serve",
+                    attempt, self.retry_policy, scope="serve",
                     index=job.seq, label=site,
                     deadline_at=job.deadline_at, clock=self._clock,
                     budget=budget,
@@ -1465,7 +1247,6 @@ class JobService:
         while not self._stop_event.wait(self.supervise_interval_s):
             self._check_hung()
             self._expire_waiters()
-            self._launch_hedges()
             self._publish_gauges()
 
     def _check_hung(self) -> None:
@@ -1565,10 +1346,8 @@ class JobService:
             parked = sum(len(f.waiters) for f in self._flights.values())
             promotions = self.promotions
             max_live = self.max_live_per_key
-            hedges = dict(self.hedges)
             attempts = self.attempts
             attempt_units = self.attempt_units
-            hedge_attempts = self.hedge_attempts
             budgets = dict(self._retry_budgets)
         return {
             "counts": counts,
@@ -1606,10 +1385,8 @@ class JobService:
                 "retry_budgets": {
                     k: b.stats() for k, b in sorted(budgets.items())
                 },
-                "hedges": hedges,
                 "attempts": attempts,
                 "attempt_units": attempt_units,
-                "hedge_attempts": hedge_attempts,
                 "amplification_ok": self.amplification_ok(),
             },
             "accounted": (

@@ -18,7 +18,7 @@ and execution-substrate toggles — and drives seven check families:
 * **memo** — canonical-key stability and sensitivity, bitwise hit
   replay, exact coalesced accounting;
 * **overload** — AIMD limiter trajectories, the retry amplification
-  bound, deadline-capped backoff, hedged-request accounting.
+  bound, deadline-capped backoff.
 
 Failures shrink to a minimal counterexample and serialize as replayable
 JSON repro files.  See :mod:`repro.verify.__main__` for the CLI.

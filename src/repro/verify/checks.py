@@ -48,11 +48,7 @@ Families
     saturation recover it to the ceiling; a retry budget's lifetime
     counters always satisfy the amplification bound
     ``units + spent <= units * (1 + ratio)`` and its balance never goes
-    negative; a config-shaped :class:`~repro.serve.service.JobService`
-    with hedging armed keeps exact accounting, a closed hedge ledger
-    (``launched == won + lost``) and at most two live executions per
-    canonical key under a seeded stall; and a deadline-capped retry
-    fails fast with a ``"deadline"`` failure instead of sleeping a
+    negative; and a deadline-capped retry fails fast with a ``"deadline"`` failure instead of sleeping a
     backoff the deadline cannot cover.
 ``cluster``
     The distributed-memory scaling model (:mod:`repro.cluster`) obeys
@@ -882,7 +878,6 @@ def check_overload(config: VerifyConfig) -> list[str]:
     failures += _overload_limiter_trajectory(config)
     failures += _overload_budget_bound(config)
     failures += _overload_retry_deadline(config)
-    failures += _overload_hedged_service(config)
     return failures
 
 
@@ -1039,89 +1034,6 @@ def _overload_retry_deadline(config: VerifyConfig) -> list[str]:
                 f"overload: retry slept {slept} past a deadline it could "
                 f"not cover"
             )
-    return failures
-
-
-def _overload_hedged_service(config: VerifyConfig) -> list[str]:
-    """A seeded stall under hedging keeps every serving ledger exact.
-
-    Warms the latency tracker with distinct config-shaped jobs, then
-    stalls one leader long enough for the supervisor to hedge it: the
-    ticket must settle with the hedge's result, accounting must stay
-    exact, the hedge ledger must close (``launched == won + lost``),
-    and the single-flight table must never run more than two
-    executions (leader + hedge) for one canonical key.
-    """
-    from ..resilience.faults import FaultPlan, FaultSpec, inject_faults
-    from ..serve.adaptive import AdaptiveConfig
-    from ..serve.service import JobService, JobSpec
-
-    failures: list[str] = []
-    points = _memo_points(config)
-    if not points:
-        return failures
-    point = points[0]
-    warm = 6
-    label = f"overload.{config.data_seed % 1000}"
-    plan = FaultPlan([
-        FaultSpec(
-            scope="serve", mode="stall", label=f"{label}|", stall_s=0.4,
-            count=1,
-        ),
-    ])
-    cfg = AdaptiveConfig(
-        slo_ms=5_000.0, min_samples=3, hedge=True, hedge_factor=1.0,
-        hedge_min_samples=3, retry_budget_ratio=1.0, brownout=False,
-    )
-    with ExitStack() as stack:
-        _toggles(stack, config)
-        with inject_faults(plan), JobService(
-            workers=2, adaptive=cfg, supervise_interval_s=0.01,
-            hang_timeout_s=30.0,
-        ) as svc:
-            import dataclasses
-
-            for i in range(warm):
-                t = svc.submit(JobSpec(
-                    "estimate",
-                    dataclasses.replace(point, ncomp=point.ncomp + 1 + i),
-                    label=f"{label}.warm{i}",
-                ))
-                t.result(timeout=60.0)
-            stalled = svc.submit(JobSpec("estimate", point, label=label))
-            out = stalled.result(timeout=60.0)
-            stats = svc.stats()
-    if out.status not in ("ok", "degraded"):
-        failures.append(
-            f"overload: stalled leader settled {out.status!r}, expected a "
-            f"successful hedge or completion ({config.label()})"
-        )
-    if not stats["accounted"]:
-        failures.append(
-            f"overload: accounting inexact under hedging: "
-            f"{stats['counts']} ({config.label()})"
-        )
-    ad = stats["adaptive"]
-    hg = ad["hedges"]
-    if hg["launched"] != hg["won"] + hg["lost"]:
-        failures.append(
-            f"overload: hedge ledger open: launched={hg['launched']} "
-            f"won={hg['won']} lost={hg['lost']} ({config.label()})"
-        )
-    if hg["launched"] < 1:
-        failures.append(
-            f"overload: stall of 0.4s never hedged ({config.label()})"
-        )
-    if stats["coalesce"]["max_live_per_key"] > 2:
-        failures.append(
-            f"overload: {stats['coalesce']['max_live_per_key']} live "
-            f"executions for one key; hedging allows at most 2"
-        )
-    if not ad["amplification_ok"]:
-        failures.append(
-            f"overload: attempt amplification bound violated "
-            f"(attempts={ad['attempts']}, units={ad['attempt_units']})"
-        )
     return failures
 
 
